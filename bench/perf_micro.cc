@@ -8,7 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,17 +89,62 @@ BM_CanonicaliseTids(benchmark::State &state)
 }
 BENCHMARK(BM_CanonicaliseTids);
 
+/** Device count of the per-state kernel benches' sample. */
+constexpr int kSampleDevices = 3;
+
+/**
+ * A fixed sample of 4,096 reachable 3-device free-run states (tid
+ * canonical): the end points of seeded random walks of 0-59 steps
+ * from the initial state, so the sample spans the space's depths
+ * rather than one hand-picked state.
+ */
+const std::vector<SystemState> &
+reachableSample()
+{
+    static const std::vector<SystemState> sample = [] {
+        const RuleSet rules(ProtocolConfig::correct(), kSampleDevices);
+        const Scenario sc = Scenario::freeRunScenario(kSampleDevices);
+        std::vector<SystemState> out;
+        std::vector<RuleSet::Successor> succ;
+        std::uint64_t x = 0x5eed;
+        auto next = [&x] {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            return x >> 33;
+        };
+        while (out.size() < 4096) {
+            SystemState s = sc.initial;
+            for (std::uint64_t steps = next() % 60; steps > 0; --steps) {
+                rules.successorsInto(s, sc, true, succ);
+                if (succ.empty())
+                    break;
+                s = succ[next() % succ.size()].state;
+            }
+            out.push_back(s);
+        }
+        return out;
+    }();
+    return sample;
+}
+
 void
 BM_SuccessorEnumeration(benchmark::State &state)
 {
+    // One state of the sample per iteration, through the explorer's
+    // allocation-free entry point.
     CheckSession session;
-    const RuleSet &rules = session.ruleSet(ProtocolConfig::correct());
-    Scenario sc = Scenario::freeRunScenario();
-    SystemState s = busyState();
+    const RuleSet &rules =
+        session.ruleSet(ProtocolConfig::correct(), kSampleDevices);
+    const Scenario sc = Scenario::freeRunScenario(kSampleDevices);
+    const std::vector<SystemState> &sample = reachableSample();
+    std::vector<RuleSet::Successor> succs;
+    std::size_t at = 0;
     for (auto _ : state) {
-        auto succs = rules.successors(s, sc, true);
-        benchmark::DoNotOptimize(succs);
+        rules.successorsInto(sample[at], sc, true, succs);
+        benchmark::DoNotOptimize(succs.data());
+        benchmark::ClobberMemory();
+        at = at + 1 == sample.size() ? 0 : at + 1;
     }
+    state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SuccessorEnumeration);
 
@@ -106,31 +153,64 @@ BM_InvariantEvaluation(benchmark::State &state)
 {
     CheckSession session;
     const InvariantSet &inv =
-        session.invariantSet(ProtocolConfig::correct());
-    Scenario sc = Scenario::freeRunScenario();
+        session.invariantSet(ProtocolConfig::correct(), kSampleDevices);
+    const Scenario sc = Scenario::freeRunScenario(kSampleDevices);
     Context ctx{&sc};
-    SystemState s = busyState();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(inv.firstFailure(s, ctx));
+    const std::vector<SystemState> &sample = reachableSample();
+    std::size_t at = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(inv.firstFailure(sample[at], ctx));
+        at = at + 1 == sample.size() ? 0 : at + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InvariantEvaluation);
 
-void
-BM_StateStoreInsert(benchmark::State &state)
+/** 256 distinct states; @p hval tells two batches apart. */
+std::vector<SystemState>
+insertBatch(Val hval)
 {
-    // Insert a fresh batch of distinct states per iteration.
     std::vector<SystemState> batch;
     for (int i = 0; i < 256; ++i) {
         SystemState s;
+        s.hval = hval;
         s.counter = static_cast<std::uint8_t>(i);
         s.dev[0].pc = static_cast<std::uint8_t>(i >> 4);
         batch.push_back(s);
     }
+    return batch;
+}
+
+/**
+ * Replace @p store by a fresh one of @p mode, untimed, and fill it
+ * with one warm-up batch: the first insert into each shard allocates
+ * and faults in its blocks, which would otherwise dominate a
+ * 256-insert iteration.
+ */
+void
+freshStore(benchmark::State &state, std::optional<StateStore> &store,
+           StoreMode mode)
+{
+    state.PauseTiming();
+    store.reset();
+    store.emplace(1024, mode);
+    for (const SystemState &s : insertBatch(1))
+        store->insert(s, StateStore::kNoParent, 0, 0);
+    state.ResumeTiming();
+}
+
+void
+BM_StateStoreInsert(benchmark::State &state)
+{
+    // Insert a batch of distinct states per iteration into a fresh
+    // store, built and torn down untimed.
+    const std::vector<SystemState> batch = insertBatch(0);
+    std::optional<StateStore> store;
     for (auto _ : state) {
-        StateStore store(1024);
+        freshStore(state, store, StoreMode::Full);
         for (const auto &s : batch)
-            store.insert(s, StateStore::kNoParent, 0, 0);
-        benchmark::DoNotOptimize(store.size());
+            store->insert(s, StateStore::kNoParent, 0, 0);
+        benchmark::DoNotOptimize(store->size());
     }
     state.SetItemsProcessed(state.iterations() * 256);
 }
@@ -141,18 +221,13 @@ BM_StateStoreInsertCompact(benchmark::State &state)
 {
     // The same insertion stream through the hash-compacted store:
     // fingerprints are computed and stored instead of state bytes.
-    std::vector<SystemState> batch;
-    for (int i = 0; i < 256; ++i) {
-        SystemState s;
-        s.counter = static_cast<std::uint8_t>(i);
-        s.dev[0].pc = static_cast<std::uint8_t>(i >> 4);
-        batch.push_back(s);
-    }
+    const std::vector<SystemState> batch = insertBatch(0);
+    std::optional<StateStore> store;
     for (auto _ : state) {
-        StateStore store(1024, StoreMode::Compact);
+        freshStore(state, store, StoreMode::Compact);
         for (const auto &s : batch)
-            store.insert(s, StateStore::kNoParent, 0, 0);
-        benchmark::DoNotOptimize(store.size());
+            store->insert(s, StateStore::kNoParent, 0, 0);
+        benchmark::DoNotOptimize(store->size());
     }
     state.SetItemsProcessed(state.iterations() * 256);
 }
@@ -164,17 +239,16 @@ BM_StateStoreInsertBatched(benchmark::State &state)
     // The explorer's flush path: one insertBatch call versus 256
     // single-lock round trips.
     std::vector<StateStore::BatchItem> items(256);
+    const std::vector<SystemState> batch = insertBatch(0);
     for (int i = 0; i < 256; ++i) {
-        SystemState s;
-        s.counter = static_cast<std::uint8_t>(i);
-        s.dev[0].pc = static_cast<std::uint8_t>(i >> 4);
-        items[i].state = s;
-        items[i].hash = s.hash();
+        items[i].state = batch[i];
+        items[i].hash = batch[i].hash();
     }
+    std::optional<StateStore> store;
     for (auto _ : state) {
-        StateStore store(1024);
-        store.insertBatch(items.data(), items.size());
-        benchmark::DoNotOptimize(store.size());
+        freshStore(state, store, StoreMode::Full);
+        store->insertBatch(items.data(), items.size());
+        benchmark::DoNotOptimize(store->size());
     }
     state.SetItemsProcessed(state.iterations() * 256);
 }
@@ -198,7 +272,9 @@ BM_ExhaustiveSwmrVerification(benchmark::State &state)
     state.counters["reachable_states"] =
         static_cast<double>(states);
 }
-BENCHMARK(BM_ExhaustiveSwmrVerification)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExhaustiveSwmrVerification)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_ParallelSwmrVerification(benchmark::State &state)
@@ -223,7 +299,8 @@ BENCHMARK(BM_ParallelSwmrVerification)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_LitmusExhaustive(benchmark::State &state)
@@ -237,7 +314,9 @@ BM_LitmusExhaustive(benchmark::State &state)
         benchmark::DoNotOptimize(res.states);
     }
 }
-BENCHMARK(BM_LitmusExhaustive)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LitmusExhaustive)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /**
  * Console reporter that also captures every finished run, so a

@@ -86,6 +86,15 @@ almostM(const DeviceState &d)
            hasGoTo(d, DState::M);
 }
 
+/** The device states almostM() can hold in. */
+constexpr std::uint32_t kAlmostMStates =
+    dset({DState::IMD, DState::SMD, DState::IMAD, DState::SMAD, DState::IMA,
+          DState::SMA});
+
+/** Host states with a snoop outstanding. */
+constexpr std::uint32_t kSnoopingHStates =
+    hset({HState::SAD, HState::MAD, HState::MA});
+
 /**
  * True for every active device index other than @p i for which
  * @p pred fails; i.e. "for all other devices o: pred(o)".
@@ -107,7 +116,7 @@ struct ConjunctBuilder {
 
     void
     add(const std::string &name, const std::string &family,
-        const std::string &description,
+        const std::string &description, Trigger trigger,
         std::function<bool(const SystemState &, const Context &)> holds)
     {
         Conjunct c;
@@ -115,19 +124,24 @@ struct ConjunctBuilder {
         c.name = name;
         c.family = family;
         c.description = description;
+        c.trigger = trigger;
         c.holds = std::move(holds);
         conjuncts.push_back(std::move(c));
     }
 
-    /** Instantiate a per-device conjunct for every active device. */
+    /**
+     * Instantiate a per-device conjunct for every active device;
+     * @p trigger_of(d) is the failure trigger of device d's instance.
+     */
     void
     addPerDevice(const std::string &base, const std::string &family,
-                 const std::string &description,
+                 const std::string &description, Trigger (*trigger_of)(int),
                  std::function<bool(const SystemState &, int,
                                     const Context &)> holds)
     {
         for (int d = 0; d < numDevices; ++d) {
             add(base + "_d" + std::to_string(d + 1), family, description,
+                trigger_of(d),
                 [holds, d](const SystemState &s, const Context &ctx) {
                     return holds(s, d, ctx);
                 });
@@ -141,6 +155,7 @@ addSwmrFamily(ConjunctBuilder &b)
     b.addPerDevice("swmr", "swmr",
         "Definition 6.1: if this device has write access, no other "
         "device has read or write access.",
+        [](int i) { return Trigger{}.dev(i, dset({DState::M})); },
         [](const SystemState &s, int i, const Context &) {
             if (!hasWriteAccess(s.dev[i].state))
                 return true;
@@ -159,6 +174,7 @@ addTransientSwmrFamily(ConjunctBuilder &b)
         "If this device is almost-M (grant no longer revocable), every "
         "other device either has a SnpInv heading to it, or holds "
         "nothing valid with nothing valid in flight to it.",
+        [](int i) { return Trigger{}.dev(i, kAlmostMStates); },
         [](const SystemState &s, int i, const Context &) {
             if (!almostM(s.dev[i]))
                 return true;
@@ -182,6 +198,7 @@ addTransientSwmrFamily(ConjunctBuilder &b)
 
     b.addPerDevice("single_owner_grant", "transient_swmr",
         "At most one device is almost-M at a time.",
+        [](int i) { return Trigger{}.dev(i, kAlmostMStates); },
         [](const SystemState &s, int i, const Context &) {
             if (!almostM(s.dev[i]))
                 return true;
@@ -198,6 +215,12 @@ addSnoopHonestyFamily(ConjunctBuilder &b)
     b.addPerDevice("snoop_honest_inv", "snoop_honesty",
         "A device reporting an invalidating snoop response really is "
         "in an invalid-side state.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::I, DState::ISDI, DState::ISAD,
+                               DState::IMAD, DState::IIA}))
+                .needs(fp::d2hRsp(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hRsp.empty())
@@ -212,6 +235,12 @@ addSnoopHonestyFamily(ConjunctBuilder &b)
     b.addPerDevice("snoop_honest_shared", "snoop_honesty",
         "A device reporting RspSFwdM really downgraded to a "
         "shared-side state.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::S, DState::SIA, DState::SIAC,
+                               DState::SMAD}))
+                .needs(fp::d2hRsp(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hRsp.empty() ||
@@ -231,22 +260,31 @@ addChannelShapeFamily(ConjunctBuilder &b)
     struct Chan {
         const char *name;
         std::function<std::size_t(const DeviceState &)> len;
+        Trigger (*nonEmpty)(int);
     };
     const Chan chans[] = {
-        {"d2h_req", [](const DeviceState &d) { return d.d2hReq.size(); }},
-        {"d2h_rsp", [](const DeviceState &d) { return d.d2hRsp.size(); }},
+        {"d2h_req", [](const DeviceState &d) { return d.d2hReq.size(); },
+         [](int i) { return Trigger{}.needs(fp::d2hReq(i)); }},
+        {"d2h_rsp", [](const DeviceState &d) { return d.d2hRsp.size(); },
+         [](int i) { return Trigger{}.needs(fp::d2hRsp(i)); }},
         {"d2h_data",
-         [](const DeviceState &d) { return d.d2hData.size(); }},
-        {"h2d_req", [](const DeviceState &d) { return d.h2dReq.size(); }},
-        {"h2d_rsp", [](const DeviceState &d) { return d.h2dRsp.size(); }},
+         [](const DeviceState &d) { return d.d2hData.size(); },
+         [](int i) { return Trigger{}.needs(fp::d2hData(i)); }},
+        {"h2d_req", [](const DeviceState &d) { return d.h2dReq.size(); },
+         [](int i) { return Trigger{}.needs(fp::h2dReq(i)); }},
+        {"h2d_rsp", [](const DeviceState &d) { return d.h2dRsp.size(); },
+         [](int i) { return Trigger{}.needs(fp::h2dRsp(i)); }},
         {"h2d_data",
-         [](const DeviceState &d) { return d.h2dData.size(); }},
+         [](const DeviceState &d) { return d.h2dData.size(); },
+         [](int i) { return Trigger{}.needs(fp::h2dData(i)); }},
     };
     for (const Chan &chan : chans) {
         auto len = chan.len;
+        // More than one message needs at least one.
         b.addPerDevice(std::string("singleton_") + chan.name,
             "channel_singleton",
             "Channels are singleton lists (single-location model).",
+            chan.nonEmpty,
             [len](const SystemState &s, int i, const Context &) {
                 return len(s.dev[i]) <= 1;
             });
@@ -255,6 +293,7 @@ addChannelShapeFamily(ConjunctBuilder &b)
     b.add("one_snoop_total", "channel_singleton",
         "The host has at most one snoop outstanding in the whole "
         "system (CXL 3.1 S3.2.5.5 plus single-transaction host).",
+        Trigger{},
         [](const SystemState &s, const Context &) {
             std::size_t total = 0;
             for (int i = 0; i < s.ndev; ++i)
@@ -271,6 +310,7 @@ addDataConflictFamily(ConjunctBuilder &b)
         "Host and device data channels must not conflict: writeback "
         "data from one device and grant data to another are never "
         "simultaneously in flight.",
+        [](int i) { return Trigger{}.needs(fp::d2hData(i)); },
         [](const SystemState &s, int i, const Context &) {
             if (!hasCleanData(s.dev[i]))
                 return true;
@@ -285,6 +325,7 @@ addDirectoryFamily(ConjunctBuilder &b)
 {
     b.add("dir_m_owner", "directory",
         "HCache=M implies exactly one device is (being made) owner.",
+        Trigger{}.host(hset({HState::M})),
         [](const SystemState &s, const Context &) {
             if (s.hstate != HState::M)
                 return true;
@@ -296,6 +337,7 @@ addDirectoryFamily(ConjunctBuilder &b)
 
     b.add("dir_s_no_owner", "directory",
         "HCache=S implies no device is (being made) owner.",
+        Trigger{}.host(hset({HState::S})),
         [](const SystemState &s, const Context &) {
             if (s.hstate != HState::S)
                 return true;
@@ -308,6 +350,7 @@ addDirectoryFamily(ConjunctBuilder &b)
 
     b.add("dir_s_some_sharer", "directory",
         "HCache=S implies at least one device is (being made) sharer.",
+        Trigger{}.host(hset({HState::S})),
         [](const SystemState &s, const Context &) {
             if (s.hstate != HState::S)
                 return true;
@@ -321,6 +364,13 @@ addDirectoryFamily(ConjunctBuilder &b)
     b.addPerDevice("dir_i_nothing_valid", "directory",
         "HCache=I implies no device holds or is being granted the "
         "line.",
+        [](int i) {
+            return Trigger{}
+                .host(hset({HState::I}))
+                .dev(i, dset({DState::S, DState::M, DState::ISD, DState::ISA,
+                              DState::IMD, DState::IMA, DState::SMD,
+                              DState::SMA, DState::SMAD}));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (s.hstate != HState::I)
                 return true;
@@ -333,6 +383,7 @@ addDirectoryFamily(ConjunctBuilder &b)
     b.addPerDevice("dir_i_no_grant", "directory",
         "HCache=I implies no ownership or share grant (GO or its data) "
         "is in flight; only an ISDI read-once datum may linger.",
+        [](int) { return Trigger{}.host(hset({HState::I})); },
         [](const SystemState &s, int i, const Context &) {
             if (s.hstate != HState::I)
                 return true;
@@ -351,6 +402,9 @@ addHostTransientFamily(ConjunctBuilder &b)
     b.addPerDevice("rsp_needs_host_transient", "host_transient",
         "A pending snoop response implies the host is mid-transaction "
         "in a snooping state.",
+        [](int i) {
+            return Trigger{}.host(~kSnoopingHStates).needs(fp::d2hRsp(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (s.dev[i].d2hRsp.empty())
                 return true;
@@ -360,6 +414,9 @@ addHostTransientFamily(ConjunctBuilder &b)
     b.addPerDevice("snoop_needs_host_transient", "host_transient",
         "An outstanding snoop implies the host is mid-transaction in a "
         "snooping state.",
+        [](int i) {
+            return Trigger{}.host(~kSnoopingHStates).needs(fp::h2dReq(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (s.dev[i].h2dReq.empty())
                 return true;
@@ -368,6 +425,7 @@ addHostTransientFamily(ConjunctBuilder &b)
 
     b.add("host_id_progress", "host_transient",
         "HCache=ID implies a write-pull or its writeback is in flight.",
+        Trigger{}.host(hset({HState::ID})),
         [](const SystemState &s, const Context &) {
             if (s.hstate != HState::ID)
                 return true;
@@ -382,6 +440,7 @@ addHostTransientFamily(ConjunctBuilder &b)
 
     b.add("host_sb_progress", "host_transient",
         "HCache=SB implies a clean-data pull or its data is in flight.",
+        Trigger{}.host(hset({HState::SB})),
         [](const SystemState &s, const Context &) {
             if (s.hstate != HState::SB)
                 return true;
@@ -401,6 +460,13 @@ addMessageShapeFamily(ConjunctBuilder &b)
     b.addPerDevice("grant_data_expected", "message_shape",
         "Grant data in flight only to a device in a state that awaits "
         "it.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::ISAD, DState::ISD, DState::IMAD,
+                               DState::IMD, DState::SMAD, DState::SMD,
+                               DState::ISDI}))
+                .needs(fp::h2dData(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (s.dev[i].h2dData.empty())
                 return true;
@@ -412,6 +478,11 @@ addMessageShapeFamily(ConjunctBuilder &b)
 
     b.addPerDevice("writepull_target", "message_shape",
         "GO_WritePull only travels to an evicting line.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::MIA, DState::SIA, DState::IIA}))
+                .needs(fp::h2dRsp(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (!hasRsp(s.dev[i], H2DRspOp::GO_WritePull))
                 return true;
@@ -422,6 +493,11 @@ addMessageShapeFamily(ConjunctBuilder &b)
     b.addPerDevice("writepulldrop_target", "message_shape",
         "GO_WritePullDrop only travels to a clean or dead evicting "
         "line.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::SIA, DState::SIAC, DState::IIA}))
+                .needs(fp::h2dRsp(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (!hasRsp(s.dev[i], H2DRspOp::GO_WritePullDrop))
                 return true;
@@ -431,6 +507,11 @@ addMessageShapeFamily(ConjunctBuilder &b)
 
     b.addPerDevice("go_share_target", "message_shape",
         "A GO-S grant only travels to a device upgrading to S.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::ISAD, DState::ISA}))
+                .needs(fp::h2dRsp(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (!hasGoTo(s.dev[i], DState::S))
                 return true;
@@ -439,6 +520,12 @@ addMessageShapeFamily(ConjunctBuilder &b)
 
     b.addPerDevice("go_own_target", "message_shape",
         "A GO-M grant only travels to a device upgrading to M.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::IMAD, DState::IMA, DState::SMAD,
+                               DState::SMA}))
+                .needs(fp::h2dRsp(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (!hasGoTo(s.dev[i], DState::M))
                 return true;
@@ -451,6 +538,12 @@ addMessageShapeFamily(ConjunctBuilder &b)
         "lingers the device can re-request (GO-class grants to it are "
         "gated on the drained channel, so it gets no further than IMA "
         "via early RdOwn data).",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::I, DState::ISAD, DState::IMAD,
+                               DState::IMA}))
+                .needs(fp::d2hData(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (!hasBogusData(s.dev[i]))
                 return true;
@@ -462,6 +555,12 @@ addMessageShapeFamily(ConjunctBuilder &b)
     b.addPerDevice("clean_data_destination", "message_shape",
         "Writeback/forward data in flight implies the host is in a "
         "state that will consume it.",
+        [](int i) {
+            return Trigger{}
+                .host(~hset({HState::SAD, HState::SD, HState::MAD,
+                             HState::MD, HState::ID, HState::SB}))
+                .needs(fp::d2hData(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (!hasCleanData(s.dev[i]))
                 return true;
@@ -475,6 +574,11 @@ addRequestStateFamily(ConjunctBuilder &b)
 {
     b.addPerDevice("rdshared_state", "request_state",
         "A queued RdShared implies the device waits in ISAD.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::ISAD}))
+                .needs(fp::d2hReq(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hReq.empty() ||
@@ -486,6 +590,11 @@ addRequestStateFamily(ConjunctBuilder &b)
 
     b.addPerDevice("rdown_state", "request_state",
         "A queued RdOwn implies the device waits in IMAD or SMAD.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::IMAD, DState::SMAD}))
+                .needs(fp::d2hReq(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hReq.empty() ||
@@ -497,6 +606,11 @@ addRequestStateFamily(ConjunctBuilder &b)
 
     b.addPerDevice("cleanevict_state", "request_state",
         "A queued CleanEvict implies the device is in SIA or IIA.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::SIA, DState::IIA}))
+                .needs(fp::d2hReq(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hReq.empty() ||
@@ -509,6 +623,11 @@ addRequestStateFamily(ConjunctBuilder &b)
     b.addPerDevice("cleanevictnodata_state", "request_state",
         "A queued CleanEvictNoData implies the device is in SIAC or "
         "IIA.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::SIAC, DState::IIA}))
+                .needs(fp::d2hReq(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hReq.empty() ||
@@ -521,6 +640,11 @@ addRequestStateFamily(ConjunctBuilder &b)
     b.addPerDevice("dirtyevict_state", "request_state",
         "A queued DirtyEvict implies the device is in MIA, or was "
         "downgraded to SIA by a SnpData, or killed to IIA by a SnpInv.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::MIA, DState::SIA, DState::IIA}))
+                .needs(fp::d2hReq(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hReq.empty() ||
@@ -540,6 +664,7 @@ addOrderingFamily(ConjunctBuilder &b)
     b.addPerDevice("req_before_grant", "ordering",
         "A device's queued request has not been processed, so no "
         "response or data can already be in flight to it.",
+        [](int i) { return Trigger{}.needs(fp::d2hReq(i)); },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hReq.empty())
@@ -550,6 +675,9 @@ addOrderingFamily(ConjunctBuilder &b)
     b.addPerDevice("rsp_after_snoop", "ordering",
         "A device only responds after consuming the snoop, and no "
         "second snoop can be outstanding.",
+        [](int i) {
+            return Trigger{}.needs(fp::d2hRsp(i) | fp::h2dReq(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hRsp.empty())
@@ -563,6 +691,7 @@ addOrderingFamily(ConjunctBuilder &b)
         "While a device's snoop response is uncollected, the host "
         "cannot have granted it anything: no GO in flight, and the "
         "only admissible data is an ISDI read-once leftover.",
+        [](int i) { return Trigger{}.needs(fp::d2hRsp(i)); },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.d2hRsp.empty())
@@ -573,6 +702,12 @@ addOrderingFamily(ConjunctBuilder &b)
 
     b.addPerDevice("ma_requester_shape", "ordering",
         "In MA/MAD the tracked requester is an ownership requester.",
+        [](int i) {
+            return Trigger{}
+                .host(hset({HState::MA, HState::MAD}))
+                .dev(i, ~dset({DState::IMAD, DState::SMAD, DState::IMA,
+                               DState::SMA}));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (s.hstate != HState::MA && s.hstate != HState::MAD)
                 return true;
@@ -584,6 +719,11 @@ addOrderingFamily(ConjunctBuilder &b)
 
     b.addPerDevice("sad_requester_shape", "ordering",
         "In SAD/SD the tracked requester is a share requester.",
+        [](int i) {
+            return Trigger{}
+                .host(hset({HState::SAD, HState::SD}))
+                .dev(i, ~dset({DState::ISAD}));
+        },
         [](const SystemState &s, int i, const Context &) {
             if (s.hstate != HState::SAD && s.hstate != HState::SD)
                 return true;
@@ -599,6 +739,12 @@ addProgressFamily(ConjunctBuilder &b)
     b.addPerDevice("upgrade_progress", "progress",
         "A device waiting for a grant has its request queued, a grant "
         "in flight, or the host mid-transaction.",
+        [](int i) {
+            return Trigger{}
+                .host(~hset({HState::SAD, HState::SD, HState::MAD,
+                             HState::MD, HState::MA}))
+                .dev(i, dset({DState::ISAD, DState::IMAD, DState::SMAD}));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (!inSet(d.state,
@@ -614,6 +760,10 @@ addProgressFamily(ConjunctBuilder &b)
     b.addPerDevice("evict_progress", "progress",
         "An evicting device has its request queued or the eviction GO "
         "in flight.",
+        [](int i) {
+            return Trigger{}.dev(i, dset({DState::MIA, DState::SIA,
+                                          DState::SIAC, DState::IIA}));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (!inSet(d.state, {DState::MIA, DState::SIA, DState::SIAC,
@@ -633,6 +783,12 @@ addBufferFamily(ConjunctBuilder &b)
         "A buffered SnpInv persists only while the line stays on the "
         "invalid side (cleared by the completion of the next "
         "transaction).",
+        [](int i) {
+            return Trigger{}.dev(i, dset({DState::S, DState::M, DState::SMAD,
+                                          DState::SMD, DState::SMA,
+                                          DState::MIA, DState::SIA,
+                                          DState::SIAC}));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (!d.buffer.holdsSnoop(H2DReqOp::SnpInv))
@@ -660,6 +816,9 @@ addDataValueFamily(ConjunctBuilder &b)
         "the copy's own forwarded writeback is still in flight, in "
         "which case memory is about to catch up to exactly this "
         "value.",
+        [](int i) {
+            return Trigger{}.dev(i, dset({DState::S, DState::ISA}));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.state != DState::S && d.state != DState::ISA)
@@ -676,6 +835,11 @@ addDataValueFamily(ConjunctBuilder &b)
     b.addPerDevice("share_grant_value_current", "data_value",
         "Grant data travelling to a share requester carries the "
         "memory value.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, dset({DState::ISAD, DState::ISD}))
+                .needs(fp::h2dData(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             if (d.h2dData.empty())
@@ -693,6 +857,12 @@ addDataValueFamily(ConjunctBuilder &b)
         "A non-bogus writeback or forward in flight carries the "
         "owner's last value, which will become the memory value; the "
         "memory value is never silently ahead of it.",
+        [](int i) {
+            return Trigger{}
+                .dev(i, ~dset({DState::I, DState::ISAD, DState::IMAD,
+                               DState::IMA}))
+                .needs(fp::d2hData(i));
+        },
         [](const SystemState &s, int i, const Context &) {
             // Shape only: forwarded data originates from an M-side
             // line, whose value is by construction the newest write.
@@ -715,6 +885,7 @@ addTidFamily(ConjunctBuilder &b)
     b.addPerDevice("tid_below_counter", "tid_discipline",
         "Every transaction id in flight was allocated from the "
         "counter.",
+        [](int) { return Trigger{}; },
         [](const SystemState &s, int i, const Context &) {
             const DeviceState &d = s.dev[i];
             auto ok = [&s](Tid t) { return t < s.counter; };
@@ -752,6 +923,7 @@ addHostTrackingFamily(ConjunctBuilder &b)
     b.add("hreq_transient", "host_tracking",
         "The host tracks a requester exactly while the directory is "
         "mid-transaction (hstate transient).",
+        Trigger{},
         [](const SystemState &s, const Context &) {
             bool transient = !isStable(s.hstate);
             return transient == (s.hreq != 0);
@@ -759,6 +931,7 @@ addHostTrackingFamily(ConjunctBuilder &b)
 
     b.add("hreq_range", "host_tracking",
         "The tracked requester is an active device.",
+        Trigger{},
         [](const SystemState &s, const Context &) {
             return s.hreq <= s.ndev;
         });
@@ -781,7 +954,7 @@ swmrHolds(const SystemState &s)
 }
 
 InvariantSet::InvariantSet(std::vector<Conjunct> conjuncts)
-    : conjuncts_(std::move(conjuncts))
+    : conjuncts_(std::move(conjuncts)), triggers_(conjuncts_)
 {
 }
 
@@ -844,11 +1017,14 @@ InvariantSet::filtered(const std::vector<std::string> &families) const
 const Conjunct *
 InvariantSet::firstFailure(const SystemState &s, const Context &ctx) const
 {
-    for (const Conjunct &c : conjuncts_) {
-        if (!c.holds(s, ctx))
-            return &c;
-    }
-    return nullptr;
+    const Conjunct *failed = nullptr;
+    triggers_.forEachCandidate(s, [&](std::size_t id) {
+        if (conjuncts_[id].holds(s, ctx))
+            return true;
+        failed = &conjuncts_[id];
+        return false;
+    });
+    return failed;
 }
 
 const Conjunct *

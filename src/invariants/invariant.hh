@@ -34,6 +34,13 @@ struct Conjunct {
     std::string family;      ///< e.g. "swmr", "channel_singleton"
     std::string description; ///< human-readable statement
 
+    /**
+     * Necessary condition for the conjunct to *fail* (see
+     * protocol/trigger.hh); firstFailure() evaluates it only on states
+     * that match.  Defaults to always, which is always sound.
+     */
+    Trigger trigger;
+
     std::function<bool(const SystemState &, const Context &)> holds;
 };
 
@@ -69,7 +76,8 @@ class InvariantSet
     std::size_t size() const { return conjuncts_.size(); }
 
     /**
-     * Evaluate every conjunct.
+     * Evaluate every conjunct whose trigger matches @p s (the others
+     * hold by construction), in id order.
      *
      * @return the first failing conjunct, or nullptr if all hold.
      */
@@ -91,6 +99,7 @@ class InvariantSet
 
   private:
     std::vector<Conjunct> conjuncts_;
+    TriggerIndex triggers_;
 };
 
 /**

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "support/hash.hh"
+
 namespace cxl
 {
 
@@ -84,16 +86,20 @@ otherGrantDataDrained(const SystemState &s, int i)
 namespace
 {
 
-/** Lookup key of one template instance: base + device-arg tuple. */
-std::string
-instanceKey(const std::string &base, const std::array<std::int8_t, 3> &args)
+/** Lookup hash of one template instance: base + device-arg tuple.
+ * Lookups confirm a match on the rule itself, so collisions only cost
+ * a comparison. */
+std::uint64_t
+instanceHash(const std::string &base, const std::array<std::int8_t, 3> &args)
 {
-    std::string key = base;
-    for (std::int8_t a : args) {
-        key += '/';
-        key += static_cast<char>('0' + (a + 1));
-    }
-    return key;
+    const std::uint64_t words[2] = {
+        hashBytes(base.data(), base.size()),
+        static_cast<std::uint64_t>(static_cast<std::uint8_t>(args[0])) |
+            static_cast<std::uint64_t>(static_cast<std::uint8_t>(args[1]))
+                << 8 |
+            static_cast<std::uint64_t>(static_cast<std::uint8_t>(args[2]))
+                << 16};
+    return hashBytes(words, sizeof words);
 }
 
 } // namespace
@@ -109,6 +115,7 @@ RuleSet::RuleSet(ProtocolConfig config, int numDevices)
     for (std::size_t i = 0; i < rules_.size(); ++i)
         rules_[i].id = static_cast<std::uint16_t>(i);
     indexInstances();
+    triggers_ = TriggerIndex(rules_);
 }
 
 void
@@ -116,10 +123,11 @@ RuleSet::indexInstances()
 {
     instances_.clear();
     for (const Rule &r : rules_) {
-        if (r.base.empty())
-            continue;
-        instances_.emplace(instanceKey(r.base, r.args), r.id);
+        if (!r.base.empty())
+            instances_.emplace_back(instanceHash(r.base, r.args), r.id);
     }
+    // By hash, then id: equal instances resolve to the first rule.
+    std::sort(instances_.begin(), instances_.end());
 }
 
 int
@@ -136,8 +144,15 @@ RuleSet::permutedRuleId(std::uint16_t id,
             a = static_cast<std::int8_t>(oldToNew[a]);
         }
     }
-    auto it = instances_.find(instanceKey(r.base, mapped));
-    return it == instances_.end() ? -1 : static_cast<int>(it->second);
+    const std::uint64_t h = instanceHash(r.base, mapped);
+    for (auto it = std::lower_bound(instances_.begin(), instances_.end(),
+                                    std::make_pair(h, std::uint16_t{0}));
+         it != instances_.end() && it->first == h; ++it) {
+        const Rule &image = rules_[it->second];
+        if (image.base == r.base && image.args == mapped)
+            return it->second;
+    }
+    return -1;
 }
 
 std::size_t
@@ -154,9 +169,14 @@ RuleSet::addRule(Rule rule)
     rule.id = static_cast<std::uint16_t>(rules_.size());
     rules_.push_back(std::move(rule));
     const Rule &added = rules_.back();
-    if (!added.base.empty())
-        instances_.emplace(instanceKey(added.base, added.args),
-                           added.id);
+    if (!added.base.empty()) {
+        const std::pair<std::uint64_t, std::uint16_t> entry{
+            instanceHash(added.base, added.args), added.id};
+        instances_.insert(std::upper_bound(instances_.begin(),
+                                           instances_.end(), entry),
+                          entry);
+    }
+    triggers_ = TriggerIndex(rules_);
 }
 
 const Rule *
@@ -185,14 +205,16 @@ RuleSet::successorsInto(const SystemState &state,
 {
     out.clear();
     Context ctx{&scenario};
-    for (const Rule &rule : rules_) {
+    triggers_.forEachCandidate(state, [&](std::size_t id) {
+        const Rule &rule = rules_[id];
         if (!rule.guard(state, ctx))
-            continue;
+            return true;
         Successor &succ = out.emplace_back(Successor{&rule, state, false});
         succ.overflow = !rule.apply(succ.state, ctx);
         if (canonicalise)
             succ.state.canonicaliseTids();
-    }
+        return true;
+    });
 }
 
 void
@@ -205,19 +227,21 @@ RuleSet::successorsPor(const SystemState &state,
     out.clear();
     slept.clear();
     Context ctx{&scenario};
-    for (const Rule &rule : rules_) {
+    triggers_.forEachCandidate(state, [&](std::size_t id) {
+        const Rule &rule = rules_[id];
         if (!rule.guard(state, ctx))
-            continue;
+            return true;
         if (sleep[rule.id >> 6] & (1ull << (rule.id & 63))) {
             slept.push_back(rule.id);
-            continue;
+            return true;
         }
         Successor &succ =
             out.emplace_back(Successor{&rule, state, false});
         succ.overflow = !rule.apply(succ.state, ctx);
         if (canonicalise)
             succ.state.canonicaliseTids();
-    }
+        return true;
+    });
 }
 
 bool

@@ -21,12 +21,14 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "protocol/config.hh"
+#include "protocol/footprint.hh"
 #include "protocol/scenario.hh"
 #include "protocol/state.hh"
+#include "protocol/trigger.hh"
 
 namespace cxl
 {
@@ -35,167 +37,6 @@ namespace cxl
 struct Context {
     const Scenario *scenario;
 };
-
-// --- Static dependency footprints (partial-order reduction) ---------
-//
-// Every rule declares which *atoms* of the system state its guard and
-// action read and which its action writes.  Atoms are coarse,
-// disjoint slices of SystemState chosen so that footprint disjointness
-// implies true commutation: the transaction counter, the host
-// directory block (hval + hstate + hreq), and per device slot the
-// cacheline core (val + state + buffer + pc) and each of the six
-// message channels.  The checker derives a conservative independence
-// relation from these masks — two rules are independent iff neither
-// writes an atom the other reads or writes — which is what the
-// sleep-set partial-order reduction prunes interleavings with.
-namespace fp
-{
-
-/** Transaction-identifier counter (tid allocation). */
-constexpr std::uint32_t kCounter = 1u << 0;
-
-/** Host directory block: hval, hstate and the hreq requester byte. */
-constexpr std::uint32_t kHost = 1u << 1;
-
-/** Atoms per device slot: core plus the six channels. */
-constexpr int kAtomsPerDevice = 7;
-
-/** First atom bit of device slot @p d. */
-constexpr int
-devShift(int d)
-{
-    return 2 + d * kAtomsPerDevice;
-}
-
-/** Device cacheline core: val, state, buffer and pc. */
-constexpr std::uint32_t
-core(int d)
-{
-    return 1u << devShift(d);
-}
-constexpr std::uint32_t
-d2hReq(int d)
-{
-    return 1u << (devShift(d) + 1);
-}
-constexpr std::uint32_t
-d2hRsp(int d)
-{
-    return 1u << (devShift(d) + 2);
-}
-constexpr std::uint32_t
-d2hData(int d)
-{
-    return 1u << (devShift(d) + 3);
-}
-constexpr std::uint32_t
-h2dReq(int d)
-{
-    return 1u << (devShift(d) + 4);
-}
-constexpr std::uint32_t
-h2dRsp(int d)
-{
-    return 1u << (devShift(d) + 5);
-}
-constexpr std::uint32_t
-h2dData(int d)
-{
-    return 1u << (devShift(d) + 6);
-}
-
-/** Every atom of device slot @p d. */
-constexpr std::uint32_t
-devAll(int d)
-{
-    return ((1u << kAtomsPerDevice) - 1) << devShift(d);
-}
-
-/** Total atom count and the all-atoms mask (the conservative
- * default: a rule without a tighter annotation conflicts with
- * everything and is never reduced against). */
-constexpr int kNumAtoms = 2 + kMaxDevices * kAtomsPerDevice;
-constexpr std::uint32_t kAll = (1u << kNumAtoms) - 1;
-
-/** Read set of sharerView()/ownerView() for device @p d. */
-constexpr std::uint32_t
-trackView(int d)
-{
-    return core(d) | d2hReq(d) | h2dRsp(d) | h2dData(d);
-}
-
-/** Read set of goSendAllowed() for device @p d. */
-constexpr std::uint32_t
-goSend(int d)
-{
-    return h2dReq(d) | d2hRsp(d) | d2hData(d);
-}
-
-/** Read set of grantRoom() (pushGrant headroom) for device @p d. */
-constexpr std::uint32_t
-grantRoom(int d)
-{
-    return h2dRsp(d) | h2dData(d);
-}
-
-/** OR of @p atom_of(k) over every active device k != i. */
-template <typename AtomOf>
-constexpr std::uint32_t
-allOthers(int i, int ndev, AtomOf atom_of)
-{
-    std::uint32_t m = 0;
-    for (int k = 0; k < ndev; ++k) {
-        if (k != i)
-            m |= atom_of(k);
-    }
-    return m;
-}
-
-/** A rule's declared read/write atom sets. */
-struct Footprint {
-    std::uint32_t reads = kAll;
-    std::uint32_t writes = kAll;
-
-    /**
-     * The rule's only counter access is allocating a fresh tid (plus
-     * the canonicalisation-stable `counter < kCounterMax` guard).
-     * Two such rules on otherwise-disjoint footprints commute
-     * *modulo tid canonicalisation*: swapping the allocation order
-     * permutes the raw tid values, and first-appearance relabelling
-     * maps both orders to the same canonical state.  The checker may
-     * therefore ignore the counter atom between two alloc-only rules
-     * when it canonicalises tids (which every exploration does).
-     */
-    bool counterAllocOnly = false;
-
-    /** Neither rule writes an atom the other touches. */
-    friend constexpr bool
-    independent(const Footprint &a, const Footprint &b)
-    {
-        return (a.writes & (b.reads | b.writes)) == 0 &&
-               (b.writes & (a.reads | a.writes)) == 0;
-    }
-
-    /**
-     * Independence under tid canonicalisation: as independent(), but
-     * the counter conflict between two alloc-only rules is forgiven
-     * (see counterAllocOnly).
-     */
-    friend constexpr bool
-    independentCanonical(const Footprint &a, const Footprint &b)
-    {
-        if (a.counterAllocOnly && b.counterAllocOnly) {
-            const std::uint32_t drop = ~kCounter;
-            return ((a.writes & drop) &
-                    ((b.reads | b.writes) & drop)) == 0 &&
-                   ((b.writes & drop) &
-                    ((a.reads | a.writes) & drop)) == 0;
-        }
-        return independent(a, b);
-    }
-};
-
-} // namespace fp
 
 /**
  * One transition rule.  `apply` returns false iff a channel push
@@ -215,6 +56,13 @@ struct Rule {
      * is simply never reduced against.
      */
     fp::Footprint footprint;
+
+    /**
+     * Necessary condition for the guard (see protocol/trigger.hh);
+     * successor enumeration evaluates the guard only on states that
+     * match it.  Defaults to always, which is always sound.
+     */
+    Trigger trigger;
 
     /**
      * Instantiation template identity, for mapping a rule to its
@@ -282,16 +130,18 @@ class RuleSet
      * Enumerate successors into a caller-owned buffer (cleared first).
      * The parallel explorer reuses one buffer per worker so the hot
      * path performs no allocation once buffer capacity has warmed up.
+     * Only rules whose trigger matches @p state have their guard
+     * evaluated; successors come in ascending rule id order.
      */
     void successorsInto(const SystemState &state,
                         const Scenario &scenario, bool canonicalise,
                         std::vector<Successor> &out) const;
 
     /**
-     * Partial-order-reduced successor enumeration: every guard is
-     * still evaluated (the enabled set must be exact for deadlock
-     * detection and sleep-set bookkeeping), but rules whose bit is
-     * set in @p sleep are not fired — their ids are appended to
+     * Partial-order-reduced successor enumeration: every candidate
+     * guard is still evaluated (the enabled set must be exact for
+     * deadlock detection and sleep-set bookkeeping), but rules whose
+     * bit is set in @p sleep are not fired — their ids are appended to
      * @p slept instead of producing a successor.  @p sleep points at
      * ceil(rules()/64) little-endian words.
      */
@@ -327,7 +177,9 @@ class RuleSet
     ProtocolConfig config_;
     int num_devices_;
     std::vector<Rule> rules_;
-    std::unordered_map<std::string, std::uint16_t> instances_;
+    /** (instance hash, rule id), sorted; see permutedRuleId. */
+    std::vector<std::pair<std::uint64_t, std::uint16_t>> instances_;
+    TriggerIndex triggers_;
 };
 
 /// Internal: populate device-side rules for device @p d (0-based).
@@ -353,6 +205,16 @@ bool sharerView(const SystemState &s, int j);
  * being granted ownership of, the line.
  */
 bool ownerView(const SystemState &s, int j);
+
+/** Device states in which sharerView() can hold (for triggers). */
+constexpr std::uint32_t kSharerViewStates =
+    dset({DState::S, DState::SMAD, DState::ISD, DState::ISA, DState::SIA,
+          DState::SIAC, DState::ISAD});
+
+/** Device states in which ownerView() can hold (for triggers). */
+constexpr std::uint32_t kOwnerViewStates =
+    dset({DState::M, DState::IMD, DState::IMA, DState::SMD, DState::SMA,
+          DState::MIA, DState::IMAD, DState::SMAD});
 
 /**
  * GO-cannot-tailgate-snoop (CXL 3.1 Section 3.2.5.2): the host may

@@ -82,6 +82,7 @@ struct RuleBuilder {
 
     void
     add(const std::string &base, bool mutated, fp::Footprint footprint,
+        Trigger trigger,
         std::function<bool(const SystemState &, const Context &)> guard,
         std::function<bool(SystemState &, const Context &)> apply)
     {
@@ -90,6 +91,7 @@ struct RuleBuilder {
         r.dev = d;
         r.mutated = mutated;
         r.footprint = footprint;
+        r.trigger = trigger;
         r.base = base;
         r.args = {static_cast<std::int8_t>(d), -1, -1};
         r.guard = std::move(guard);
@@ -115,7 +117,12 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
         /*counterAllocOnly=*/true};
     const fp::Footprint local_fp{fp::core(d), fp::core(d)};
 
-    b.add("InvalidLoad", false, issue_fp,
+    // Program rules fire from the stable state they are named after.
+    const Trigger in_i = Trigger{}.dev(d, dset({DState::I}));
+    const Trigger in_s = Trigger{}.dev(d, dset({DState::S}));
+    const Trigger in_m = Trigger{}.dev(d, dset({DState::M}));
+
+    b.add("InvalidLoad", false, issue_fp, in_i,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::I &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Load) &&
@@ -127,7 +134,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
             return s.dev[d].d2hReq.pushBack({D2HReqOp::RdShared, t});
         });
 
-    b.add("InvalidStore", false, issue_fp,
+    b.add("InvalidStore", false, issue_fp, in_i,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::I &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Store) &&
@@ -141,7 +148,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
 
     // Evicting an invalid line has no effect beyond retiring the
     // instruction (paper Section 5.1, clean_evict_test discussion).
-    b.add("InvalidEvict", false, local_fp,
+    b.add("InvalidEvict", false, local_fp, in_i,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::I && !ctx.scenario->freeRun &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Evict);
@@ -151,7 +158,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
             return true;
         });
 
-    b.add("SharedLoad", false, local_fp,
+    b.add("SharedLoad", false, local_fp, in_s,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::S && !ctx.scenario->freeRun &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Load);
@@ -161,7 +168,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
             return true;
         });
 
-    b.add("SharedStore", false, issue_fp,
+    b.add("SharedStore", false, issue_fp, in_s,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::S &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Store) &&
@@ -173,7 +180,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
             return s.dev[d].d2hReq.pushBack({D2HReqOp::RdOwn, t});
         });
 
-    b.add("SharedEvict", false, issue_fp,
+    b.add("SharedEvict", false, issue_fp, in_s,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::S &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Evict) &&
@@ -186,7 +193,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
         });
 
     if (config.cleanEvictNoData) {
-        b.add("SharedEvictNoData", false, issue_fp,
+        b.add("SharedEvictNoData", false, issue_fp, in_s,
             [d](const SystemState &s, const Context &ctx) {
                 return s.dev[d].state == DState::S &&
                        ctx.scenario->mayIssue(d, s.dev[d].pc,
@@ -201,7 +208,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
             });
     }
 
-    b.add("ModifiedLoad", false, local_fp,
+    b.add("ModifiedLoad", false, local_fp, in_m,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::M && !ctx.scenario->freeRun &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Load);
@@ -211,7 +218,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
             return true;
         });
 
-    b.add("ModifiedStore", false, local_fp,
+    b.add("ModifiedStore", false, local_fp, in_m,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::M &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Store);
@@ -222,7 +229,7 @@ addProgramRules(RuleBuilder &b, const ProtocolConfig &config)
             return true;
         });
 
-    b.add("ModifiedEvict", false, issue_fp,
+    b.add("ModifiedEvict", false, issue_fp, in_m,
         [d](const SystemState &s, const Context &ctx) {
             return s.dev[d].state == DState::M &&
                    ctx.scenario->mayIssue(d, s.dev[d].pc, Instr::Evict) &&
@@ -264,6 +271,14 @@ addGrantConsumptionRules(RuleBuilder &b, DState awaiting, DState go_taken,
         fp::core(d) | fp::h2dRsp(d) | fp::h2dData(d),
         fp::core(d) | fp::h2dRsp(d) | fp::h2dData(d)};
 
+    // Each rule waits in one transient state for the message(s) it
+    // pops.
+    const std::uint32_t go = fp::h2dRsp(d);
+    const std::uint32_t data = fp::h2dData(d);
+    const Trigger awaiting_t = Trigger{}.dev(d, dset({awaiting}));
+    const Trigger go_taken_t = Trigger{}.dev(d, dset({go_taken}));
+    const Trigger data_taken_t = Trigger{}.dev(d, dset({data_taken}));
+
     auto finish = [d, final_state, is_store](SystemState &s,
                                              const Context &ctx) {
         s.dev[d].state = final_state;
@@ -272,7 +287,7 @@ addGrantConsumptionRules(RuleBuilder &b, DState awaiting, DState go_taken,
         completeInstr(s, d, ctx);
     };
 
-    b.add(prefix + "_GO", false, go_fp,
+    b.add(prefix + "_GO", false, go_fp, awaiting_t.needs(go),
         [d, awaiting, go_target](const SystemState &s, const Context &) {
             return s.dev[d].state == awaiting &&
                    headIsGo(s.dev[d], go_target);
@@ -283,7 +298,7 @@ addGrantConsumptionRules(RuleBuilder &b, DState awaiting, DState go_taken,
             return true;
         });
 
-    b.add(prefix + "_Data", false, data_fp,
+    b.add(prefix + "_Data", false, data_fp, awaiting_t.needs(data),
         [d, awaiting](const SystemState &s, const Context &) {
             return s.dev[d].state == awaiting && !s.dev[d].h2dData.empty();
         },
@@ -295,6 +310,7 @@ addGrantConsumptionRules(RuleBuilder &b, DState awaiting, DState go_taken,
         });
 
     b.add(prefix + "_GO_Data", false, go_data_fp,
+          awaiting_t.needs(go | data),
         [d, awaiting, go_target](const SystemState &s, const Context &) {
             return s.dev[d].state == awaiting &&
                    headIsGo(s.dev[d], go_target) &&
@@ -309,6 +325,7 @@ addGrantConsumptionRules(RuleBuilder &b, DState awaiting, DState go_taken,
         });
 
     b.add(toString(go_taken) + "_Data", false, data_fp,
+          go_taken_t.needs(data),
         [d, go_taken](const SystemState &s, const Context &) {
             return s.dev[d].state == go_taken && !s.dev[d].h2dData.empty();
         },
@@ -320,6 +337,7 @@ addGrantConsumptionRules(RuleBuilder &b, DState awaiting, DState go_taken,
         });
 
     b.add(toString(data_taken) + "_GO", false, go_fp,
+          data_taken_t.needs(go),
         [d, data_taken, go_target](const SystemState &s, const Context &) {
             return s.dev[d].state == data_taken &&
                    headIsGo(s.dev[d], go_target);
@@ -347,9 +365,15 @@ addEvictionCompletionRules(RuleBuilder &b)
     const fp::Footprint h2ddata_fp{fp::core(d) | fp::h2dData(d),
                                    fp::core(d) | fp::h2dData(d)};
 
+    // Each completion waits in its named state for the GO (or data)
+    // at the head of its channel.
+    auto go_in = [d](DState st) {
+        return Trigger{}.dev(d, dset({st})).needs(fp::h2dRsp(d));
+    };
+
     // Dirty eviction: the pull triggers the implicit writeback
     // (Table 2's MIA_GO_WritePull step).
-    b.add("MIA_GO_WritePull", false, pull_fp,
+    b.add("MIA_GO_WritePull", false, pull_fp, go_in(DState::MIA),
         [d](const SystemState &s, const Context &) {
             return s.dev[d].state == DState::MIA &&
                    headIsRsp(s.dev[d], H2DRspOp::GO_WritePull) &&
@@ -366,7 +390,7 @@ addEvictionCompletionRules(RuleBuilder &b)
 
     // Clean eviction completes with a drop (Table 1's
     // SIA_GO_WritePullDrop step).
-    b.add("SIA_GO_WritePullDrop", false, drop_fp,
+    b.add("SIA_GO_WritePullDrop", false, drop_fp, go_in(DState::SIA),
         [d](const SystemState &s, const Context &) {
             return s.dev[d].state == DState::SIA &&
                    headIsRsp(s.dev[d], H2DRspOp::GO_WritePullDrop);
@@ -379,7 +403,7 @@ addEvictionCompletionRules(RuleBuilder &b)
         });
 
     // The host may pull the clean line instead.
-    b.add("SIA_GO_WritePull", false, pull_fp,
+    b.add("SIA_GO_WritePull", false, pull_fp, go_in(DState::SIA),
         [d](const SystemState &s, const Context &) {
             return s.dev[d].state == DState::SIA &&
                    headIsRsp(s.dev[d], H2DRspOp::GO_WritePull) &&
@@ -395,7 +419,7 @@ addEvictionCompletionRules(RuleBuilder &b)
         });
 
     // CleanEvictNoData promised no data, so only a drop is legal.
-    b.add("SIAC_GO_WritePullDrop", false, drop_fp,
+    b.add("SIAC_GO_WritePullDrop", false, drop_fp, go_in(DState::SIAC),
         [d](const SystemState &s, const Context &) {
             return s.dev[d].state == DState::SIAC &&
                    headIsRsp(s.dev[d], H2DRspOp::GO_WritePullDrop);
@@ -409,7 +433,7 @@ addEvictionCompletionRules(RuleBuilder &b)
 
     // A snoop hit the writeback: any data the device still sends for
     // the eviction must carry the Bogus flag (CXL 3.1 Section 3.2.5.4).
-    b.add("IIA_GO_WritePull", false, pull_fp,
+    b.add("IIA_GO_WritePull", false, pull_fp, go_in(DState::IIA),
         [d](const SystemState &s, const Context &) {
             return s.dev[d].state == DState::IIA &&
                    headIsRsp(s.dev[d], H2DRspOp::GO_WritePull) &&
@@ -426,7 +450,7 @@ addEvictionCompletionRules(RuleBuilder &b)
 
     // Section 4.4 proposed fix: the host may drop instead, saving the
     // bogus data transfer entirely.
-    b.add("IIA_GO_WritePullDrop", false, drop_fp,
+    b.add("IIA_GO_WritePullDrop", false, drop_fp, go_in(DState::IIA),
         [d](const SystemState &s, const Context &) {
             return s.dev[d].state == DState::IIA &&
                    headIsRsp(s.dev[d], H2DRspOp::GO_WritePullDrop);
@@ -440,6 +464,7 @@ addEvictionCompletionRules(RuleBuilder &b)
 
     // Read-once completion after an ISD-state snoop invalidation.
     b.add("ISDI_Data", false, h2ddata_fp,
+          Trigger{}.dev(d, dset({DState::ISDI})).needs(fp::h2dData(d)),
         [d](const SystemState &s, const Context &) {
             return s.dev[d].state == DState::ISDI &&
                    !s.dev[d].h2dData.empty();
@@ -479,7 +504,9 @@ addSnoopRules(RuleBuilder &b, const ProtocolConfig &config)
                                    fp::d2hRsp(d)};
         if (fwd_data)
             snoop_fp.writes |= fp::d2hData(d);
-        b.add(base, false, snoop_fp,
+        const Trigger snoop_t =
+            Trigger{}.dev(d, dset({from})).needs(fp::h2dReq(d));
+        b.add(base, false, snoop_fp, snoop_t,
             [d, from, op, relaxed](const SystemState &s, const Context &) {
                 return s.dev[d].state == from &&
                        headIsSnoop(s.dev[d], op) &&
@@ -531,6 +558,7 @@ addSnoopRules(RuleBuilder &b, const ProtocolConfig &config)
                 fp::core(d) | fp::h2dReq(d) | fp::d2hRsp(d),
                 fp::core(d) | fp::h2dReq(d) | fp::d2hRsp(d)};
             b.add(base, true, broken_fp,
+                Trigger{}.dev(d, dset({from})).needs(fp::h2dReq(d)),
                 [d, from](const SystemState &s, const Context &) {
                     return s.dev[d].state == from &&
                            headIsSnoop(s.dev[d], H2DReqOp::SnpInv) &&

@@ -84,7 +84,7 @@ struct HostRuleBuilder {
     void
     addNamed(std::string name, const std::string &base,
              std::array<std::int8_t, 3> args, bool mutated,
-             fp::Footprint footprint,
+             fp::Footprint footprint, Trigger trigger,
              std::function<bool(const SystemState &, const Context &)>
                  guard,
              std::function<bool(SystemState &, const Context &)> apply)
@@ -94,6 +94,7 @@ struct HostRuleBuilder {
         r.dev = i;
         r.mutated = mutated;
         r.footprint = footprint;
+        r.trigger = trigger;
         r.base = base;
         r.args = args;
         r.guard = std::move(guard);
@@ -103,12 +104,13 @@ struct HostRuleBuilder {
 
     void
     add(const std::string &base, bool mutated, fp::Footprint footprint,
+        Trigger trigger,
         std::function<bool(const SystemState &, const Context &)> guard,
         std::function<bool(SystemState &, const Context &)> apply)
     {
         addNamed(base + std::to_string(i + 1), base,
                  {static_cast<std::int8_t>(i), -1, -1}, mutated,
-                 footprint, std::move(guard), std::move(apply));
+                 footprint, trigger, std::move(guard), std::move(apply));
     }
 
     /**
@@ -118,7 +120,7 @@ struct HostRuleBuilder {
      */
     void
     addPair(const std::string &base, int o, bool mutated,
-            fp::Footprint footprint,
+            fp::Footprint footprint, Trigger trigger,
             std::function<bool(const SystemState &, const Context &)>
                 guard,
             std::function<bool(SystemState &, const Context &)> apply)
@@ -129,7 +131,7 @@ struct HostRuleBuilder {
         addNamed(std::move(name), base,
                  {static_cast<std::int8_t>(i),
                   static_cast<std::int8_t>(o), -1},
-                 mutated, footprint, std::move(guard),
+                 mutated, footprint, trigger, std::move(guard),
                  std::move(apply));
     }
 
@@ -140,7 +142,7 @@ struct HostRuleBuilder {
      */
     void
     addChained(const std::string &base, int o, int o2, bool mutated,
-               fp::Footprint footprint,
+               fp::Footprint footprint, Trigger trigger,
                std::function<bool(const SystemState &, const Context &)>
                    guard,
                std::function<bool(SystemState &, const Context &)>
@@ -153,7 +155,7 @@ struct HostRuleBuilder {
                  {static_cast<std::int8_t>(i),
                   static_cast<std::int8_t>(o),
                   static_cast<std::int8_t>(o2)},
-                 mutated, footprint, std::move(guard),
+                 mutated, footprint, trigger, std::move(guard),
                  std::move(apply));
     }
 
@@ -210,8 +212,16 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
     const std::uint32_t others_sharer =
         fp::allOthers(i, nd, fp::trackView);
 
+    // Request processing fires from the directory state it is named
+    // after, on the request at the head of the requester's d2hReq;
+    // a snoop target must be in a state its tracking view can count.
+    auto req_in = [i](HState h) {
+        return Trigger{}.host(hset({h})).needs(fp::d2hReq(i));
+    };
+
     // Nobody holds the line: grant S directly from memory.
     b.add("HostInvalidRdShared", false, {grant_reads, grant_writes},
+        req_in(HState::I),
         [i, go_ok](const SystemState &s, const Context &) {
             return s.hstate == HState::I &&
                    headReqIs(s.dev[i], D2HReqOp::RdShared) &&
@@ -228,6 +238,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
     b.add("HostSharedRdShared", false,
         {grant_reads,
          fp::d2hReq(i) | fp::h2dRsp(i) | fp::h2dData(i)},
+        req_in(HState::S),
         [i, go_ok](const SystemState &s, const Context &) {
             return s.hstate == HState::S &&
                    headReqIs(s.dev[i], D2HReqOp::RdShared) &&
@@ -245,6 +256,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
             {fp::kHost | fp::d2hReq(i) | fp::trackView(o) |
                  fp::h2dReq(o),
              fp::kHost | fp::d2hReq(i) | fp::h2dReq(o)},
+            req_in(HState::M).dev(o, kOwnerViewStates),
             [i, o](const SystemState &s, const Context &) {
                 return s.hstate == HState::M &&
                        headReqIs(s.dev[i], D2HReqOp::RdShared) &&
@@ -261,6 +273,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
         b.addPair("HostSAD_RspSFwdM", o, false,
             {fp::kHost | fp::d2hRsp(o),
              fp::kHost | fp::d2hRsp(o)},
+            Trigger{}.host(hset({HState::SAD})).needs(fp::d2hRsp(o)),
             [i, o](const SystemState &s, const Context &) {
                 return s.hstate == HState::SAD && s.hreq == asReq(i) &&
                        headRspIs(s.dev[o], D2HRspOp::RspSFwdM);
@@ -278,6 +291,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
                  fp::grantRoom(i),
              fp::kHost | fp::d2hData(o) | fp::h2dRsp(i) |
                  fp::h2dData(i)},
+            Trigger{}.host(hset({HState::SD})).needs(fp::d2hData(o)),
             [i, o, go_ok](const SystemState &s, const Context &) {
                 return s.hstate == HState::SD && s.hreq == asReq(i) &&
                        headDataClean(s.dev[o]) && go_ok(s, i) &&
@@ -295,6 +309,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
 
     // Nobody holds the line: grant ownership directly.
     b.add("HostInvalidRdOwn", false, {grant_reads, grant_writes},
+        req_in(HState::I),
         [i, go_ok](const SystemState &s, const Context &) {
             return s.hstate == HState::I &&
                    headReqIs(s.dev[i], D2HReqOp::RdOwn) && go_ok(s, i) &&
@@ -311,7 +326,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
     // needed — the shortcut discussed in paper Section 8, with "the
     // other device is no sharer" generalised to all peers.
     b.add("HostSharedRdOwnUpgrade", false,
-        {grant_reads | others_sharer, grant_writes},
+        {grant_reads | others_sharer, grant_writes}, req_in(HState::S),
         [i, go_ok](const SystemState &s, const Context &) {
             return s.hstate == HState::S &&
                    headReqIs(s.dev[i], D2HReqOp::RdOwn) &&
@@ -334,6 +349,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
                  fp::h2dReq(o) | fp::h2dData(i),
              fp::kHost | fp::d2hReq(i) | fp::h2dReq(o) |
                  fp::h2dData(i)},
+            req_in(HState::S).dev(o, kSharerViewStates),
             [i, o](const SystemState &s, const Context &) {
                 return s.hstate == HState::S &&
                        headReqIs(s.dev[i], D2HReqOp::RdOwn) &&
@@ -370,10 +386,13 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
                 });
             const std::uint32_t peer_grant_data =
                 fp::allOthers(i, nd, fp::h2dData);
+            const Trigger ack_t =
+                Trigger{}.host(hset({HState::MA})).needs(fp::d2hRsp(o));
             b.addPair(base, o, mutated,
                 {fp::kHost | fp::d2hRsp(o) | third_sharer |
                      peer_grant_data | fp::goSend(i) | fp::h2dRsp(i),
                  fp::kHost | fp::d2hRsp(o) | fp::h2dRsp(i)},
+                ack_t,
                 [i, o, rsp, go_ok](const SystemState &s,
                                    const Context &) {
                     return s.hstate == HState::MA &&
@@ -403,6 +422,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
                     {fp::kHost | fp::d2hRsp(o) | fp::trackView(o2) |
                          fp::h2dReq(o2),
                      fp::d2hRsp(o) | fp::h2dReq(o2)},
+                    ack_t.dev(o2, kSharerViewStates),
                     [i, o, o2, rsp](const SystemState &s,
                                     const Context &) {
                         return s.hstate == HState::MA &&
@@ -430,6 +450,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
             {fp::kHost | fp::d2hReq(i) | fp::trackView(o) |
                  fp::h2dReq(o),
              fp::kHost | fp::d2hReq(i) | fp::h2dReq(o)},
+            req_in(HState::M).dev(o, kOwnerViewStates),
             [i, o](const SystemState &s, const Context &) {
                 return s.hstate == HState::M &&
                        headReqIs(s.dev[i], D2HReqOp::RdOwn) &&
@@ -446,6 +467,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
         b.addPair("HostMAD_RspIFwdM", o, false,
             {fp::kHost | fp::d2hRsp(o),
              fp::kHost | fp::d2hRsp(o)},
+            Trigger{}.host(hset({HState::MAD})).needs(fp::d2hRsp(o)),
             [i, o](const SystemState &s, const Context &) {
                 return s.hstate == HState::MAD && s.hreq == asReq(i) &&
                        headRspIs(s.dev[o], D2HRspOp::RspIFwdM);
@@ -461,6 +483,7 @@ addReadRequestRules(HostRuleBuilder &b, const ProtocolConfig &config)
                  fp::grantRoom(i),
              fp::kHost | fp::d2hData(o) | fp::h2dRsp(i) |
                  fp::h2dData(i)},
+            Trigger{}.host(hset({HState::MD})).needs(fp::d2hData(o)),
             [i, o, go_ok](const SystemState &s, const Context &) {
                 return s.hstate == HState::MD && s.hreq == asReq(i) &&
                        headDataClean(s.dev[o]) && go_ok(s, i) &&
@@ -505,9 +528,20 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
     const std::uint32_t others_sharer =
         fp::allOthers(i, nd, fp::trackView);
 
+    // Eviction processing needs the request queued and the evicting
+    // line in the state the flavour names; writeback collection needs
+    // the data queued and the directory in the collecting state.
+    auto evict_in = [i](DState st) {
+        return Trigger{}.dev(i, dset({st})).needs(fp::d2hReq(i));
+    };
+    auto data_in = [i](HState h) {
+        return Trigger{}.host(hset({h})).needs(fp::d2hData(i));
+    };
+
     // Paper Fig. 4's HostModifiedDirtyEvict1: pull the dirty line.
     b.add("HostModifiedDirtyEvict", false,
         {fp::kHost | evict_reads, fp::kHost | evict_writes},
+        evict_in(DState::MIA).host(hset({HState::M})),
         [i, go_ok](const SystemState &s, const Context &) {
             return s.hstate == HState::M &&
                    headReqIs(s.dev[i], D2HReqOp::DirtyEvict) &&
@@ -527,6 +561,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
     // IDData1 step).
     b.add("HostID_Data", false,
         {fp::kHost | fp::d2hData(i), fp::kHost | fp::d2hData(i)},
+        data_in(HState::ID),
         [i](const SystemState &s, const Context &) {
             return s.hstate == HState::ID && s.hreq == asReq(i) &&
                    headDataClean(s.dev[i]);
@@ -542,6 +577,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
     // Clean-evict data pull completes; host remains a sharer.
     b.add("HostSB_Data", false,
         {fp::kHost | fp::d2hData(i), fp::kHost | fp::d2hData(i)},
+        data_in(HState::SB),
         [i](const SystemState &s, const Context &) {
             return s.hstate == HState::SB && s.hreq == asReq(i) &&
                    headDataClean(s.dev[i]);
@@ -579,6 +615,8 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
         const D2HReqOp req = f.req;
         const DState dev_state = f.devState;
 
+        const Trigger clean_t =
+            evict_in(dev_state).host(hset({HState::S}));
         auto guard_common = [i, req, dev_state,
                              go_ok](const SystemState &s) {
             return s.hstate == HState::S && headReqIs(s.dev[i], req) &&
@@ -588,6 +626,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
 
         b.add(std::string(f.base) + "NotLastDrop", false,
             {fp::kHost | evict_reads | others_sharer, evict_writes},
+            clean_t,
             [i, guard_common](const SystemState &s, const Context &) {
                 return guard_common(s) && anyOtherSharer(s, i);
             },
@@ -601,6 +640,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
         b.add(std::string(f.base) + "LastDrop", false,
             {fp::kHost | evict_reads | others_sharer,
              fp::kHost | evict_writes},
+            clean_t,
             [i, guard_common](const SystemState &s, const Context &) {
                 return guard_common(s) && !anyOtherSharer(s, i);
             },
@@ -618,6 +658,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
         b.add(std::string(f.base) + "NotLastPull", false,
             {fp::kHost | evict_reads | others_sharer,
              fp::kHost | evict_writes},
+            clean_t,
             [i, guard_common](const SystemState &s, const Context &) {
                 return guard_common(s) && anyOtherSharer(s, i);
             },
@@ -633,6 +674,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
         b.add(std::string(f.base) + "LastPull", false,
             {fp::kHost | evict_reads | others_sharer,
              fp::kHost | evict_writes},
+            clean_t,
             [i, guard_common](const SystemState &s, const Context &) {
                 return guard_common(s) && !anyOtherSharer(s, i);
             },
@@ -660,7 +702,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
 
         if (drop_legal) {
             b.add(std::string(base) + "Drop", false,
-                {evict_reads, evict_writes},
+                {evict_reads, evict_writes}, evict_in(DState::IIA),
                 [i, req, go_ok](const SystemState &s, const Context &) {
                     return headReqIs(s.dev[i], req) &&
                            s.dev[i].state == DState::IIA && go_ok(s, i) &&
@@ -676,7 +718,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
 
         if (pull_legal) {
             b.add(std::string(base) + "Pull", false,
-                {evict_reads, evict_writes},
+                {evict_reads, evict_writes}, evict_in(DState::IIA),
                 [i, req, go_ok](const SystemState &s, const Context &) {
                     return headReqIs(s.dev[i], req) &&
                            s.dev[i].state == DState::IIA && go_ok(s, i) &&
@@ -697,6 +739,7 @@ addEvictionRules(HostRuleBuilder &b, const ProtocolConfig &config)
     // Bogus-flagged eviction data is discarded (CXL 3.1 S3.2.5.4).
     b.add("HostBogusData", false,
         {fp::d2hData(i), fp::d2hData(i)},
+        Trigger{}.needs(fp::d2hData(i)),
         [i](const SystemState &s, const Context &) {
             return !s.dev[i].d2hData.empty() &&
                    s.dev[i].d2hData.front().bogus;
@@ -722,6 +765,10 @@ addMutatedHostRules(HostRuleBuilder &b, const ProtocolConfig &config)
                      fp::h2dReq(o) | fp::grantRoom(i),
                  fp::kHost | fp::d2hReq(i) | fp::h2dReq(o) |
                      fp::h2dRsp(i) | fp::h2dData(i)},
+                Trigger{}
+                    .host(hset({HState::S}))
+                    .dev(o, kSharerViewStates)
+                    .needs(fp::d2hReq(i)),
                 [i, o](const SystemState &s, const Context &) {
                     return s.hstate == HState::S &&
                            headReqIs(s.dev[i], D2HReqOp::RdOwn) &&
@@ -746,6 +793,9 @@ addMutatedHostRules(HostRuleBuilder &b, const ProtocolConfig &config)
             b.addPair("HostSecondSnoop", o, true,
                 {fp::kHost | fp::h2dReq(o) | fp::kCounter,
                  fp::kCounter | fp::h2dReq(o)},
+                Trigger{}
+                    .host(hset({HState::MA, HState::MAD}))
+                    .needs(fp::h2dReq(o)),
                 [i, o](const SystemState &s, const Context &) {
                     return (s.hstate == HState::MA ||
                             s.hstate == HState::MAD) &&

@@ -317,13 +317,21 @@ sendFrame(int fd, const std::string &line)
 bool
 recvFrame(int fd, FrameReader &reader, std::string &line)
 {
+    std::size_t scanned = 0; // pending bytes known to hold no newline
     for (;;) {
-        const std::size_t nl = reader.pending.find('\n');
+        const std::size_t nl = reader.pending.find('\n', scanned);
+        const std::size_t len =
+            nl == std::string::npos ? reader.pending.size() : nl;
+        if (len > kMaxFrameBytes) {
+            reader.oversized = true;
+            return false;
+        }
         if (nl != std::string::npos) {
             line.assign(reader.pending, 0, nl);
             reader.pending.erase(0, nl + 1);
             return true;
         }
+        scanned = reader.pending.size();
         char buf[4096];
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
         if (n < 0 && errno == EINTR)

@@ -43,6 +43,7 @@
 #ifndef CXL_SERVE_PROTOCOL_HH
 #define CXL_SERVE_PROTOCOL_HH
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -142,14 +143,23 @@ int connectUnixSocket(const std::string &path);
  * failing peer (SIGPIPE suppressed). */
 bool sendFrame(int fd, const std::string &line);
 
+/** Longest frame recvFrame accepts, newline excluded.  Requests and
+ * results are a few KiB; the limit bounds what a peer can make the
+ * reader buffer. */
+constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
+
 /** recvFrame's carry-over buffer (bytes past the last newline). */
 struct FrameReader {
     std::string pending;
+    /** Set when recvFrame failed on a frame over kMaxFrameBytes. */
+    bool oversized = false;
 };
 
 /**
  * Read one newline-terminated frame into @p line (newline stripped).
- * @return false on EOF or error before a full line arrived.
+ * @return false on EOF or error before a full line arrived, or when
+ *         the frame exceeds kMaxFrameBytes (reader.oversized is then
+ *         set and the stream cannot be resynchronised).
  */
 bool recvFrame(int fd, FrameReader &reader, std::string &line);
 

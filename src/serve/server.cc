@@ -372,9 +372,15 @@ Server::start()
 void
 Server::beginDrain()
 {
-    bool expected = false;
-    if (!draining_.compare_exchange_strong(expected, true))
-        return;
+    {
+        // Set under the queue mutex: a worker between its predicate
+        // check and its wait would otherwise miss the notify below
+        // and sleep through the drain.
+        const std::lock_guard<std::mutex> lock(queueMutex_);
+        bool expected = false;
+        if (!draining_.compare_exchange_strong(expected, true))
+            return;
+    }
     if (wakePipe_[1] >= 0) {
         const char byte = 'x';
         while (::write(wakePipe_[1], &byte, 1) < 0 && errno == EINTR) {
@@ -510,6 +516,12 @@ Server::handleConnection(WorkerState &state, int fd)
     FrameReader reader;
     std::string line;
     if (!recvFrame(fd, reader, line)) {
+        if (reader.oversized) {
+            sendFrame(fd, renderErrorFrame(
+                              "", "bad request: frame exceeds " +
+                                      std::to_string(kMaxFrameBytes) +
+                                      " bytes"));
+        }
         errors_.fetch_add(1, std::memory_order_relaxed);
         return;
     }

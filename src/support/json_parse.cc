@@ -138,6 +138,7 @@ namespace
 struct Parser {
     const std::string &text;
     std::size_t at = 0;
+    int depth = 0; ///< open arrays/objects around the cursor
 
     [[noreturn]] void
     fail(const std::string &what) const
@@ -245,12 +246,22 @@ struct Parser {
         }
     }
 
+    /** Enter one array/object level, failing beyond kMaxJsonDepth. */
+    void
+    descend()
+    {
+        if (++depth > kMaxJsonDepth)
+            fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                 " levels");
+        ++at;
+    }
+
     JsonValue
     parseValue()
     {
         const char c = peek();
         if (c == '{') {
-            ++at;
+            descend();
             std::vector<std::pair<std::string, JsonValue>> members;
             if (peek() == '}') {
                 ++at;
@@ -267,10 +278,11 @@ struct Parser {
                         fail("expected ',' or '}'");
                 }
             }
+            --depth;
             return JsonValue::makeObject(std::move(members));
         }
         if (c == '[') {
-            ++at;
+            descend();
             std::vector<JsonValue> items;
             if (peek() == ']') {
                 ++at;
@@ -285,6 +297,7 @@ struct Parser {
                         fail("expected ',' or ']'");
                 }
             }
+            --depth;
             return JsonValue::makeArray(std::move(items));
         }
         if (c == '"')

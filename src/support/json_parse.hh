@@ -99,10 +99,17 @@ class JsonValue
 };
 
 /**
+ * Deepest array/object nesting parseJson accepts.  The parser recurses
+ * once per level, so the limit bounds its stack use on untrusted input;
+ * the emitters never nest deeper than a handful of levels.
+ */
+constexpr int kMaxJsonDepth = 128;
+
+/**
  * Parse one JSON document.
  *
- * @throws std::runtime_error with a byte offset on malformed input
- *         or trailing garbage.
+ * @throws std::runtime_error with a byte offset on malformed input,
+ *         nesting deeper than kMaxJsonDepth, or trailing garbage.
  */
 JsonValue parseJson(const std::string &text);
 

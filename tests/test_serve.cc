@@ -14,6 +14,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,6 +198,50 @@ TEST(ServeProtocol, FramingSurvivesSplitsAndCoalescing)
     EXPECT_EQ(line, c);
     EXPECT_FALSE(recvFrame(fds[1], reader, line)); // EOF
     ::close(fds[1]);
+}
+
+TEST(ServeProtocol, DeepNestingIsAParseErrorNotACrash)
+{
+    // One line of a million '[' used to overflow the parser's stack.
+    const std::string deep(1000000, '[');
+    try {
+        parseJson(deep);
+        ADD_FAILURE() << "a million open brackets parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(requestFromJson(deep), std::runtime_error);
+
+    // The limit itself is inclusive.
+    const std::string at_limit = std::string(kMaxJsonDepth, '[') +
+                                 std::string(kMaxJsonDepth, ']');
+    EXPECT_NO_THROW(parseJson(at_limit));
+    EXPECT_THROW(parseJson("[" + at_limit + "]"), std::runtime_error);
+    EXPECT_THROW(parseJson(std::string(kMaxJsonDepth + 1, '{')),
+                 std::runtime_error);
+}
+
+TEST(ServeProtocol, FramesOverTheLimitAreRefused)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    // The socket buffers hold far less than a frame this size, so the
+    // writer runs beside the reader.
+    std::thread writer([fd = fds[0]] {
+        sendFrame(fd, std::string(kMaxFrameBytes, 'a'));
+        sendFrame(fd, std::string(kMaxFrameBytes + 1, 'b'));
+        ::close(fd);
+    });
+    FrameReader reader;
+    std::string line;
+    ASSERT_TRUE(recvFrame(fds[1], reader, line));
+    EXPECT_EQ(line.size(), kMaxFrameBytes);
+    EXPECT_FALSE(reader.oversized);
+    EXPECT_FALSE(recvFrame(fds[1], reader, line));
+    EXPECT_TRUE(reader.oversized);
+    ::close(fds[1]); // fails the writer's remaining send
+    writer.join();
 }
 
 TEST(ServeProtocol, ResponseFramesParse)
@@ -664,6 +710,45 @@ TEST_F(ServeEndToEnd, BadRequestsGetAnErrorFrame)
     EXPECT_EQ(server_->stats().errors, 2u);
 }
 
+TEST_F(ServeEndToEnd, HostileFramesGetErrorFramesAndServingContinues)
+{
+    auto errorFrameFor = [this](const std::string &payload) {
+        const int fd = connectUnixSocket(server_->socketPath());
+        EXPECT_GE(fd, 0);
+        // Returns false once the server stops reading an oversized
+        // frame and hangs up; its error frame is already queued.
+        sendFrame(fd, payload);
+        FrameReader reader;
+        std::string line;
+        const bool got = recvFrame(fd, reader, line);
+        ::close(fd);
+        EXPECT_TRUE(got);
+        return got ? parseJson(line) : JsonValue();
+    };
+
+    const JsonValue deep = errorFrameFor(std::string(1000000, '['));
+    EXPECT_EQ(deep.getStr("type"), "error");
+    EXPECT_NE(deep.getStr("message").find("nesting"), std::string::npos)
+        << deep.getStr("message");
+
+    const JsonValue huge =
+        errorFrameFor(std::string(2 * kMaxFrameBytes, ' '));
+    EXPECT_EQ(huge.getStr("type"), "error");
+    EXPECT_NE(huge.getStr("message").find("exceeds"), std::string::npos)
+        << huge.getStr("message");
+
+    const ClientResult after = requestCheck(
+        server_->socketPath(), deterministicRequest("multiple_reads"));
+    ASSERT_TRUE(after.ok) << after.error;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(10);
+    while (server_->stats().errors < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(server_->stats().errors, 2u);
+}
+
 TEST_F(ServeEndToEnd, ClientDisconnectCancelsTheRun)
 {
     // An expensive free run with per-flush progress frames: drop the
@@ -770,6 +855,41 @@ TEST(ServeDrain, CancelsInFlightAndTurnsAwayQueuedConnections)
     EXPECT_FALSE(after.ok);
     EXPECT_NE(after.error.find("cannot connect"), std::string::npos)
         << after.error;
+}
+
+TEST(ServeDrain, ImmediateDrainAfterStartNeverHangs)
+{
+    // drain() right after start() catches workers on their way into
+    // the queue wait.  The draining flag must be set under the queue
+    // mutex, or a worker between its predicate check and its wait
+    // misses the wake-up and drain() blocks forever joining it.  The
+    // window is a few instructions wide: with the flag set outside the
+    // mutex, 5,000 cycles hung in about one run of three.
+    auto cycles = std::async(std::launch::async, [] {
+        for (int i = 0; i < 5000; ++i) {
+            char path[96];
+            std::snprintf(path, sizeof path, "/tmp/cxl_cycle_%d.sock",
+                          static_cast<int>(::getpid()));
+            ServerOptions opt;
+            opt.socketPath = path;
+            opt.workers = 4;
+            Server server(std::move(opt));
+            server.start();
+            // Land the drain at a different point of the workers'
+            // start-up each cycle.
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(i % 100);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            server.drain();
+        }
+    });
+    if (cycles.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "start()->drain() hung";
+        std::_Exit(1); // the hung cycle's threads cannot be joined
+    }
+    cycles.get();
 }
 
 } // namespace
