@@ -69,9 +69,6 @@ main(int argc, char **argv)
              : "") +
         (storeKindMmap(opts.engine.store)
              ? " (mmap out-of-core store)"
-             : "") +
-        (opts.engine.schedule == Schedule::WorkSteal
-             ? " (work-stealing schedule)"
              : ""));
 
     struct Case {
@@ -282,17 +279,11 @@ main(int argc, char **argv)
                     v.push_back(rf.fires);
                 return v;
             };
-            // Under --ws, transition and rule-fire counts are
-            // schedule-dependent (label-correcting re-expansion);
-            // states, diameter and verdict remain exact.
-            const bool ws =
-                opts.engine.schedule == Schedule::WorkSteal;
             bool same = res.states == base.states &&
                         res.diameter == base.diameter &&
                         res.verdict == base.verdict &&
-                        (ws || (res.transitions ==
-                                    base.transitions &&
-                                fires(res) == fires(base)));
+                        res.transitions == base.transitions &&
+                        fires(res) == fires(base);
             all_ok &= same;
             char time_txt[32], speed_txt[32];
             std::snprintf(time_txt, sizeof(time_txt), "%.4f", best);

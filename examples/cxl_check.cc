@@ -25,7 +25,7 @@
  *                                    print the daemon's counters
  *
  * Standard flags: --devices N, --threads N, --sym/--no-sym,
- * --compact, --por/--no-por, --ws/--bfs, --max-states N,
+ * --store KIND, --compact, --por/--no-por, --max-states N,
  * --expect-states N, --max-seconds S, --max-rss-mb N,
  * --json [PATH].  `--deterministic` zeroes the wall-clock keys of
  * JSON output (offline and served) so runs diff byte-identical;
@@ -127,9 +127,8 @@ wireRequest(const cxl::api::StandardOptions &opts,
     serve::EngineKnobs &k = r.engine;
     k.threads = opts.engine.threads;
     k.symmetry = opts.engine.symmetry;
-    k.compact = opts.engine.store == StoreKind::Compact;
+    k.store = opts.engine.store;
     k.por = opts.engine.por;
-    k.schedule = opts.engine.schedule;
     if (opts.engine.maxStates != 0)
         k.maxStates = opts.engine.maxStates;
     if (opts.engine.expectedStates != 0)

@@ -12,7 +12,7 @@
  *              [standard engine flags]
  *
  * The standard flags (--threads, --sym/--no-sym, --compact,
- * --por/--no-por, --ws/--bfs, --max-states, --max-seconds, ...) set
+ * --por/--no-por, --max-states, --max-seconds, ...) set
  * the per-request engine *defaults*; each request may override any
  * knob (see src/serve/protocol.hh).  `--default-max-seconds` is the
  * safety net applied to requests that carry no wall-clock budget of

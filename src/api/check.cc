@@ -131,7 +131,7 @@ CheckResult::renderText(bool withTrace) const
     out += line;
     std::snprintf(line, sizeof(line),
                   "engine: %zu thread(s), symmetry %s, %s store, "
-                  "por %s, %s schedule\n",
+                  "por %s, bfs schedule\n",
                   threads, symmetryReduction ? "on" : "off",
                   storeKindWord(
                       mmapStore
@@ -139,9 +139,7 @@ CheckResult::renderText(bool withTrace) const
                                         : StoreKind::Mmap)
                           : (compaction ? StoreKind::InRamCompact
                                         : StoreKind::InRam)),
-                  por ? "on" : "off",
-                  schedule == Schedule::WorkSteal ? "work-stealing"
-                                                  : "bfs");
+                  por ? "on" : "off");
     out += line;
     std::snprintf(
         line, sizeof(line),
@@ -207,9 +205,7 @@ CheckResult::renderText(bool withTrace) const
     if (violation && !violation->traceNote.empty())
         out += "(" + violation->traceNote + ")\n";
     if (withTrace && violation && violation->trace.size() > 1) {
-        out += schedule == Schedule::WorkSteal
-                   ? "\nwitness trace (shortest known):\n"
-                   : "\nwitness trace (shortest, by BFS):\n";
+        out += "\nwitness trace (shortest, by BFS):\n";
         out += renderTraceTable(violation->trace, scenarioSpec,
                                 defaultTraceColumns(devices));
         out += "\nbad state:\n" +
@@ -237,8 +233,7 @@ CheckResult::renderJson(bool deterministic) const
         .boolean("symmetry_reduction", symmetryReduction)
         .boolean("compact", compaction)
         .boolean("por", por)
-        .str("schedule",
-             schedule == Schedule::WorkSteal ? "ws" : "bfs")
+        .str("schedule", "bfs")
         .num("max_states", maxStates)
         .num("rules", static_cast<std::uint64_t>(numRules))
         .num("conjuncts", static_cast<std::uint64_t>(numConjuncts))
@@ -444,7 +439,6 @@ CheckSession::run(const CheckRequest &request)
                            : StoreBackend::InRam;
     opt.storeDir = engine.storeDir;
     opt.por = engine.por;
-    opt.schedule = engine.schedule;
     opt.symmetryReduction =
         engine.symmetry == SymmetryMode::On ||
         (engine.symmetry == SymmetryMode::Auto &&
@@ -476,7 +470,6 @@ CheckSession::run(const CheckRequest &request)
     out.compaction = opt.compaction;
     out.mmapStore = storeKindMmap(engine.store);
     out.por = opt.por;
-    out.schedule = opt.schedule;
     out.maxStates = opt.maxStates;
     out.states = res.numStates;
     out.transitions = res.numTransitions;

@@ -70,18 +70,14 @@ enum class SymmetryMode : std::uint8_t {
  * (heap vs per-shard file-backed mappings whose sealed BFS levels are
  * unmapped — the out-of-core mode; see StoreBackend).  The backend
  * never changes verdicts, counts or diameters; the serve layer's
- * cache key keeps only the compact bit.
- *
- * Full/Compact are back-compat aliases for the two classic in-RAM
- * kinds (`--compact` upgrades whichever backend is selected).
+ * cache key keeps only the compact bit.  `--compact` upgrades
+ * whichever backend is selected to its compact kind.
  */
 enum class StoreKind : std::uint8_t {
     InRam,         ///< heap, full states (the classic default)
     InRamCompact,  ///< heap, hash compaction
     Mmap,          ///< file-backed, full states, out-of-core sealing
     MmapCompact,   ///< file-backed, hash compaction
-    Full = InRam,  ///< legacy spelling
-    Compact = InRamCompact, ///< legacy spelling
 };
 
 /** Whether a store kind uses hash compaction. */
@@ -139,14 +135,8 @@ struct EngineOptions {
      * (`--store-dir`; "" = anonymous in-memory files). */
     std::string storeDir;
 
-    /**
-     * Exploration schedule (`--ws` / `--bfs`): Schedule::Bfs is the
-     * depth-synchronized baseline; Schedule::WorkSteal replaces the
-     * depth barrier with per-worker work-stealing deques.  Verdicts,
-     * state counts and diameters are identical either way (and across
-     * thread counts); transition/slept counts are schedule-dependent
-     * under WorkSteal.
-     */
+    /** Exploration schedule; the depth-synchronized BFS is the only
+     * one. */
     Schedule schedule = Schedule::Bfs;
 
     /**
@@ -156,7 +146,7 @@ struct EngineOptions {
      * minimal BFS depth, so verdicts, violated-conjunct sets, state
      * counts and diameters are identical to an unreduced run — only
      * the transition count (and time) drops.  Composes with both
-     * symmetry modes and StoreKind::Compact.
+     * symmetry modes and every store kind.
      */
     bool por = false;
 
@@ -272,7 +262,6 @@ struct CheckResult {
     bool compaction = false;
     bool mmapStore = false;   ///< file-backed (out-of-core) store
     bool por = false;
-    Schedule schedule = Schedule::Bfs;
     std::uint64_t maxStates = 0;
 
     // ---- measurements ------------------------------------------------

@@ -62,13 +62,6 @@ standardOptions(const CliArgs &args, const char *defaultJsonPath)
     else if (args.has("por"))
         opt.engine.por = true;
 
-    // Exploration schedule: --bfs wins when both appear (same
-    // sweep-script override convention as --no-por).
-    if (args.has("bfs"))
-        opt.engine.schedule = Schedule::Bfs;
-    else if (args.has("ws"))
-        opt.engine.schedule = Schedule::WorkSteal;
-
     if (args.has("max-states")) {
         const std::int64_t n = args.getInt("max-states", 0);
         if (n < 1) {

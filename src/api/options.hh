@@ -5,8 +5,8 @@
  * `--devices`, `--threads`, `--sym`/`--no-sym`,
  * `--store=ram|ram-compact|mmap|mmap-compact`, `--store-dir`,
  * `--compact` (upgrades the chosen backend to its compacted
- * variant), `--por`/`--no-por`, `--ws`/`--bfs`, `--max-states`,
- * `--expect-states`, `--max-seconds`, `--max-rss-mb`, `--json` —
+ * variant), `--por`/`--no-por`, `--max-states`, `--expect-states`,
+ * `--max-seconds`, `--max-rss-mb`, `--json` —
  * into a device count plus the EngineOptions a CheckSession is
  * constructed with.  It also arms the process-wide SIGINT/SIGTERM →
  * CancelToken bridge, so every front-end gets graceful Ctrl-C for

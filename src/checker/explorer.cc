@@ -158,10 +158,9 @@ Explorer::rebuildTrace(const StateStore &store, std::uint32_t idx) const
     while (cur != StateStore::kNoParent) {
         TraceStep step;
         // stateInto works in both store modes; compact-mode callers
-        // are responsible for only rebuilding retained entries (BFS
-        // calls this under compaction only when the backend retains
-        // everything — see StateStore::statesAlwaysReadable — and
-        // the work-stealing schedule never seals).
+        // are responsible for only rebuilding retained entries (the
+        // explorer calls this under compaction only when the backend
+        // retains everything — see StateStore::statesAlwaysReadable).
         store.stateInto(cur, step.state);
         const std::uint32_t parent = store.parentAt(cur);
         if (parent != StateStore::kNoParent)
@@ -175,14 +174,6 @@ Explorer::rebuildTrace(const StateStore &store, std::uint32_t idx) const
 
 ExploreResult
 Explorer::run(const ExploreOptions &options)
-{
-    return options.schedule == Schedule::WorkSteal
-               ? runWorkSteal(options)
-               : runBfs(options);
-}
-
-ExploreResult
-Explorer::runBfs(const ExploreOptions &options)
 {
     auto start = std::chrono::steady_clock::now();
     auto finish = [&start](ExploreResult &r) -> ExploreResult & {

@@ -10,20 +10,10 @@
  * full rule-labelled trace from the initial state — the counterpart of
  * the paper's message-sequence-chart counterexamples (Fig. 5).
  *
- * Two parallel schedules share the sharded StateStore (see
- * Schedule):
- *
- *  - Bfs: depth-synchronized levels expanded by a worker pool, with
- *    per-worker scratch buffers merged at the level barrier.
- *    Results (state count, transition count, violation verdict and
- *    depth) are deterministic regardless of thread count.
- *  - WorkSteal: asynchronous task-parallel expansion over per-worker
- *    Chase-Lev deques (checker/workqueue.hh) — no depth barrier.
- *    Depth labels converge to BFS-minimal values by label
- *    correction, so verdicts, state counts and diameters are still
- *    exact and thread-count-deterministic; only the transition
- *    count (redundant re-expansions) becomes schedule-dependent.
- *    See explorer_ws.cc.
+ * Depth-synchronized levels are expanded by a worker pool over the
+ * sharded StateStore, with per-worker scratch buffers merged at the
+ * level barrier.  Results (state count, transition count, violation
+ * verdict and depth) are deterministic regardless of thread count.
  */
 
 #ifndef CXL_CHECKER_EXPLORER_HH
@@ -44,21 +34,13 @@
 namespace cxl
 {
 
-/** Parallel exploration schedule (see the file comment). */
+/**
+ * Exploration schedule: the depth-synchronized level-parallel BFS.
+ * An enum so that EngineOptions::schedule stays source-compatible
+ * for callers that set it explicitly.
+ */
 enum class Schedule : std::uint8_t {
-    /** Depth-synchronized level-parallel BFS (the paper-exact
-     * baseline: transition counts reproducible too). */
     Bfs,
-    /**
-     * Asynchronous work stealing: workers spawn successor tasks into
-     * per-worker deques and steal when dry, so no worker idles at a
-     * depth barrier.  Verdicts, state counts and diameters match Bfs
-     * bit-for-bit at any thread count; transition/slept counts are
-     * schedule-dependent, and counterexample traces are shortest
-     * paths (by converged depth labels) rather than BFS-layer
-     * traces.
-     */
-    WorkSteal,
 };
 
 /**
@@ -88,9 +70,6 @@ using ProgressFn = std::function<void(const ProgressSnapshot &)>;
 struct ExploreOptions {
     std::uint64_t maxStates = 20'000'000;
     std::uint32_t maxDepth = 60000;
-
-    /** Which parallel schedule expands the frontier. */
-    Schedule schedule = Schedule::Bfs;
 
     /** Relabel tids per state; required for free-run finiteness. */
     bool canonicaliseTids = true;
@@ -126,9 +105,9 @@ struct ExploreOptions {
     /**
      * Visited-set memory backend (see StoreBackend): InRam is the
      * classic heap store; Mmap gives every shard file-backed growable
-     * mappings and — under the depth-synchronized schedule — unmaps
-     * sealed BFS levels, so the mapped window tracks the frontier
-     * while the backing files keep every byte (the out-of-core mode).
+     * mappings and unmaps sealed BFS levels, so the mapped window
+     * tracks the frontier while the backing files keep every byte
+     * (the out-of-core mode).
      * Verdicts, counts and diameters are backend-independent; under
      * Mmap counterexample traces are reconstructible even with
      * compaction on (sealed cells persist in the backing file).
@@ -334,10 +313,9 @@ struct ExploreResult {
      * Deepest BFS level known to be *fully* expanded when the run
      * ended: maxDepth for completed (and violation-stopped) runs; on
      * a governed stop, the last level every worker finished before
-     * the stop word tripped (conservative under the work-stealing
-     * schedule, where levels interleave).  States at or below this
-     * level have had every successor generated, so per-level facts
-     * up to here are trustworthy even in a partial result.
+     * the stop word tripped.  States at or below this level have had
+     * every successor generated, so per-level facts up to here are
+     * trustworthy even in a partial result.
      */
     std::uint32_t deepestCompleteLevel = 0;
 
@@ -361,16 +339,10 @@ class Explorer
     Explorer(const RuleSet &rules, const Scenario &scenario,
              const InvariantSet &invariants);
 
-    /** Run to completion or until a limit/violation stops the walk;
-     * dispatches on ExploreOptions::schedule. */
+    /** Run to completion or until a limit/violation stops the walk. */
     ExploreResult run(const ExploreOptions &options = {});
 
   private:
-    /** Depth-synchronized level-parallel schedule (explorer.cc). */
-    ExploreResult runBfs(const ExploreOptions &options);
-    /** Asynchronous work-stealing schedule (explorer_ws.cc). */
-    ExploreResult runWorkSteal(const ExploreOptions &options);
-
     std::vector<TraceStep> rebuildTrace(const StateStore &store,
                                         std::uint32_t idx) const;
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * ProgressTicker: the shared rate limiter behind
- * ExploreOptions::progress.  Both engines call tick() wherever they
- * poll the governor (batch-flush granularity), and the ticker turns
+ * ExploreOptions::progress.  The explorer calls tick() wherever it
+ * polls the governor (batch-flush granularity), and the ticker turns
  * that firehose into one serialized ProgressSnapshot per interval:
  *
  *  - transition deltas and the deepest-level watermark are folded

@@ -1,6 +1,7 @@
 #include "checker/state_store.hh"
 
 #include <algorithm>
+#include <tuple>
 
 namespace cxl
 {
@@ -72,9 +73,8 @@ StateStore::insert(const SystemState &state, std::uint64_t hash,
     Shard &shard = shards_[shard_idx];
 
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const InsertOutcome out = probeInsertLocked(
-        shard_idx, shard, state, hash, verify, parent, rule_id, depth);
-    return {out.id, out.inserted};
+    return probeInsertLocked(shard_idx, shard, state, hash, verify,
+                             parent, rule_id, depth);
 }
 
 void
@@ -121,17 +121,14 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
         for (std::uint32_t i = head[s]; i != kEnd;
              i = items[i].next_) {
             BatchItem &item = items[i];
-            const InsertOutcome out = probeInsertLocked(
+            std::tie(item.id, item.inserted) = probeInsertLocked(
                 s, shard, item.state, item.hash, item.verify_,
                 item.parent, item.rule, item.depth);
-            item.id = out.id;
-            item.inserted = out.inserted;
-            item.improved = out.improved;
         }
     }
 }
 
-StateStore::InsertOutcome
+std::pair<std::uint32_t, bool>
 StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                               const SystemState &state,
                               std::uint64_t hash, std::uint64_t verify,
@@ -165,21 +162,8 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
             } else {
                 same = cols.verifyAt(off) == verify;
             }
-            if (same) {
-                const std::uint32_t id =
-                    (shard_idx << kOffsetBits) | off;
-                // Label-correcting duplicate: a shorter path to a
-                // known state relabels its breadcrumbs (async
-                // schedule; BFS duplicates are never shallower).
-                std::atomic<std::uint32_t> &cell = cols.depthCell(off);
-                if (depth < cell.load(std::memory_order_relaxed)) {
-                    cell.store(depth, std::memory_order_relaxed);
-                    cols.setParent(off, parent);
-                    cols.setRule(off, rule_id);
-                    return {id, false, true};
-                }
-                return {id, false, false};
-            }
+            if (same)
+                return {(shard_idx << kOffsetBits) | off, false};
             cols.bumpCollisions();
         }
         slot = (slot + 1) & cols.mask();
@@ -210,35 +194,7 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
 
     cols.setBucket(slot, off + 1);
     total_.fetch_add(1, std::memory_order_release);
-    return {(shard_idx << kOffsetBits) | off, true, false};
-}
-
-std::uint32_t
-StateStore::maxDepthQuiescent() const
-{
-    std::uint32_t deepest = 0;
-    for (const Shard &shard : shards_) {
-        for (std::uint32_t off = 0; off < shard.cols.count(); ++off) {
-            deepest = std::max(deepest,
-                               shard.cols.depthCell(off).load(
-                                   std::memory_order_relaxed));
-        }
-    }
-    return deepest;
-}
-
-std::uint64_t
-StateStore::countDepthAtMost(std::uint32_t depth) const
-{
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_) {
-        for (std::uint32_t off = 0; off < shard.cols.count(); ++off) {
-            if (shard.cols.depthCell(off).load(
-                    std::memory_order_relaxed) <= depth)
-                ++total;
-        }
-    }
-    return total;
+    return {(shard_idx << kOffsetBits) | off, true};
 }
 
 void

@@ -55,20 +55,15 @@
  * concurrently from any number of threads.  stateAt()/stateInto()
  * are safe concurrently with inserts *for ids published before the
  * current expansion phase began* (the arena blocks holding them are
- * fixed, and the block/offset spines never reallocate).  The depth
- * column is chunked atomics: depthAt() may be read lock-free at any
- * time (the work-stealing explorer's stale-task check depends on
- * this), while parentAt()/ruleAt() and sealLevel() must only be used
- * while the store is quiescent — the explorers call them between
+ * fixed, and the block/offset spines never reallocate).
+ * depthAt(), parentAt(), ruleAt() and sealLevel() must only be used
+ * while the store is quiescent — the explorer calls them between
  * depth barriers or after termination.
  *
- * Duplicate inserts carrying a *smaller* depth than the stored entry
- * relabel the entry's breadcrumbs (depth, parent, rule) in place and
- * report BatchItem::improved — the label-correcting step of the
- * work-stealing schedule's shortest-path convergence.  Under the
- * depth-synchronized BFS schedule duplicates never arrive with a
- * smaller depth, so the update is exercised only by the async
- * engine.
+ * A duplicate insert leaves the stored entry's breadcrumbs (depth,
+ * parent, rule) untouched: the first path to reach a state wins.
+ * Under the depth-synchronized BFS no duplicate arrives shallower
+ * than the entry it matches.
  */
 
 #ifndef CXL_CHECKER_STATE_STORE_HH
@@ -97,7 +92,7 @@ namespace cxl
  * capacity limit (architectural 2^28 per shard, or the smaller
  * per-run limit derived from ExploreOptions::storeCapacity), or a
  * compact-mode shard exhausted its 32-bit arena offset space.  The
- * explorers catch this and convert it into a graceful governed stop
+ * explorer catches this and converts it into a graceful governed stop
  * (StopReason::ShardFull) — the explored prefix stays a valid
  * partial result.  what() names the shard, its computed entry limit
  * and the available --store kinds.
@@ -171,7 +166,7 @@ class StateStore
     /**
      * One pending insert of a batched flush.  The caller fills state,
      * hash (the state's probe hash) and the breadcrumbs; insertBatch
-     * fills id, inserted and improved.
+     * fills id and inserted.
      */
     struct BatchItem {
         SystemState state;
@@ -182,9 +177,6 @@ class StateStore
         // Filled by insertBatch:
         std::uint32_t id = 0;
         bool inserted = false;
-        /** Known state relabelled to a smaller depth (see the class
-         * comment); the async explorer re-expands it. */
-        bool improved = false;
 
       private:
         friend class StateStore;
@@ -313,13 +305,7 @@ class StateStore
         return shards_[shardOf(id)].cols.ruleAt(id & kOffsetMask);
     }
 
-    /**
-     * Current depth label of @p id.  Safe concurrently with inserts
-     * and improvements (chunked atomic column, relaxed load): a racy
-     * read may be stale, but depths only ever decrease, so a stale
-     * value is an upper bound — exactly what the async explorer's
-     * stale-task check needs.  Exact once quiescent.
-     */
+    /** BFS depth of @p id; quiescent use only. */
     std::uint32_t
     depthAt(std::uint32_t id) const
     {
@@ -328,14 +314,6 @@ class StateStore
             .load(std::memory_order_relaxed);
     }
 
-    /** Largest depth label over all entries; quiescent use only. */
-    std::uint32_t maxDepthQuiescent() const;
-
-    /** Number of entries with depth <= @p depth; quiescent use only.
-     * The async explorer uses this to reproduce the BFS
-     * stop-at-level state count on violation-stopped runs. */
-    std::uint64_t countDepthAtMost(std::uint32_t depth) const;
-
     /**
      * BFS level barrier hook; call only while quiescent.  Releases
      * the arena blocks of states older than the level that just
@@ -343,13 +321,6 @@ class StateStore
      * and records the new level boundary.  InRam compact mode frees
      * them for good; Mmap backends unmap them — file keeps the bytes,
      * reads recover them — in both modes.  No-op for InRam full.
-     *
-     * Sealing is a property of the depth-synchronized schedule only:
-     * the work-stealing explorer expands depths out of order and so
-     * never calls this — under it every arena block stays mapped
-     * (costing the memory the seal would have freed, but making
-     * counterexample traces reconstructible even in InRam compact
-     * mode).
      */
     void sealLevel();
 
@@ -400,13 +371,9 @@ class StateStore
         std::uint32_t limit = kOffsetMask;
     };
 
-    struct InsertOutcome {
-        std::uint32_t id;
-        bool inserted;
-        bool improved;
-    };
-
-    InsertOutcome
+    /** Probe for @p state and append it if new; the shard lock must
+     * be held.  @return (packed id, inserted), as insert(). */
+    std::pair<std::uint32_t, bool>
     probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                       const SystemState &state, std::uint64_t hash,
                       std::uint64_t verify, std::uint32_t parent,

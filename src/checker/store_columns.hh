@@ -14,9 +14,8 @@
  *    only under the shard lock (or quiescent), matching the façade's
  *    published thread-safety contract;
  *  - the depth column lives in fixed-size chunks (backend chunkAlloc,
- *    addresses never move) behind a fully-reserved spine, so
- *    depthCell() is readable lock-free at any time — the
- *    work-stealing explorer's stale-task check depends on this.
+ *    addresses never move) behind a fully-reserved spine, so column
+ *    growth never copies it.
  *
  * Growth doubles the entry capacity (realloc-style, preserved by the
  * backend) and rehashes buckets from the stored probe hashes only —
@@ -83,14 +82,6 @@ class ShardColumns
     std::uint16_t ruleAt(std::uint32_t off) const
     {
         return rules_[off];
-    }
-    void setParent(std::uint32_t off, std::uint32_t p)
-    {
-        parents_[off] = p;
-    }
-    void setRule(std::uint32_t off, std::uint16_t r)
-    {
-        rules_[off] = r;
     }
 
     /** Lock-free-readable depth cell (chunked atomics; see file

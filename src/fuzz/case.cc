@@ -288,7 +288,7 @@ signatureOf(const CheckResult &result, bool capped)
     }
     // Counts are exact run properties when the exploration drained
     // the frontier, or when it stopped at a violation with no cap in
-    // play (the engines guarantee BFS-minimal, thread-invariant
+    // play (the engine guarantees BFS-minimal, thread-invariant
     // counts there).  A cap-truncated run stops at a
     // thread-dependent point, so its counts are dropped.
     sig.exactCounts =

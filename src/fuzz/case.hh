@@ -58,7 +58,7 @@ struct FuzzCase {
      * State cap for free-run exploration (0 = uncapped).  Program
      * scenarios are finite and small, so they always run uncapped
      * and their counts join the cross-check; capped runs exclude
-     * schedule-dependent counts from the comparison instead.
+     * thread-dependent counts from the comparison instead.
      */
     std::uint64_t maxStates = 0;
 

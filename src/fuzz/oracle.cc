@@ -9,8 +9,7 @@ namespace cxl::fuzz
 std::string
 ComboDesc::label() const
 {
-    std::string out = schedule == Schedule::WorkSteal ? "ws" : "bfs";
-    out += por ? "/por" : "/-";
+    std::string out = por ? "por" : "-";
     out += sym ? "/sym" : "/-";
     out += compact ? "/compact" : "/full";
     if (mmapStore)
@@ -23,7 +22,6 @@ EngineOptions
 ComboDesc::engineOptions() const
 {
     EngineOptions opt;
-    opt.schedule = schedule;
     opt.por = por;
     opt.symmetry = sym ? SymmetryMode::On : SymmetryMode::Off;
     opt.store = mmapStore
@@ -45,21 +43,16 @@ std::vector<ComboDesc>
 fullPortfolio(std::size_t threads)
 {
     std::vector<ComboDesc> combos;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (bool por : {false, true}) {
-            for (bool sym : {false, true}) {
-                for (bool compact : {false, true}) {
-                    combos.push_back(
-                        ComboDesc{sched, por, sym, compact, threads});
-                }
-            }
+    for (bool por : {false, true}) {
+        for (bool sym : {false, true}) {
+            for (bool compact : {false, true})
+                combos.push_back(ComboDesc{por, sym, compact, threads});
         }
     }
     // One out-of-core arm: the mmap backend must agree bit-for-bit
     // with the reference on verdicts and counts (the paging layer is
     // below the probe algorithm, so any divergence is a store bug).
-    combos.push_back(
-        ComboDesc{Schedule::Bfs, false, false, false, threads, true});
+    combos.push_back(ComboDesc{false, false, false, threads, true});
     return combos;
 }
 
@@ -68,23 +61,15 @@ replayPortfolio(const std::vector<std::size_t> &threadCounts)
 {
     std::vector<ComboDesc> combos;
     for (std::size_t threads : threadCounts) {
-        for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-            for (bool por : {false, true}) {
-                for (bool sym : {false, true}) {
-                    combos.push_back(
-                        ComboDesc{sched, por, sym, false, threads});
-                }
-            }
+        for (bool por : {false, true}) {
+            for (bool sym : {false, true})
+                combos.push_back(ComboDesc{por, sym, false, threads});
         }
-        // One compact-store probe per schedule per thread count.
-        combos.push_back(ComboDesc{Schedule::Bfs, false, false, true,
-                                   threads});
-        combos.push_back(ComboDesc{Schedule::WorkSteal, false, false,
-                                   true, threads});
+        // One compact-store probe per thread count.
+        combos.push_back(ComboDesc{false, false, true, threads});
         // And one mmap-backend probe, so replay also exercises the
         // out-of-core path against the stored reference signature.
-        combos.push_back(ComboDesc{Schedule::Bfs, false, false, false,
-                                   threads, true});
+        combos.push_back(ComboDesc{false, false, false, threads, true});
     }
     return combos;
 }

@@ -1,12 +1,12 @@
 /**
  * @file
  * The cross-engine differential oracle: run one FuzzCase through a
- * portfolio of engine combinations — {bfs, work-steal} x {por on/off}
- * x {symmetry on/off} x {full/compact store} x thread counts, plus
- * one mmap-backend arm per portfolio — and
- * cross-check the VerdictSignatures under the engines' documented
- * guarantees.  Any disagreement those guarantees forbid is an engine
- * bug, reported as a divergence.
+ * portfolio of engine combinations — {por on/off} x {symmetry
+ * on/off} x {full/compact store} x thread counts, plus one
+ * mmap-backend arm per portfolio — and cross-check the
+ * VerdictSignatures under the engine's documented guarantees.  Any
+ * disagreement those guarantees forbid is an engine bug, reported as
+ * a divergence.
  *
  * What is comparable depends on the run:
  *  - verdict / violation kind / family: always (between decided runs)
@@ -41,7 +41,6 @@ namespace cxl::fuzz
 
 /** One engine combination of the portfolio. */
 struct ComboDesc {
-    Schedule schedule = Schedule::Bfs;
     bool por = false;
     bool sym = false;
     bool compact = false;
@@ -52,8 +51,8 @@ struct ComboDesc {
      * about backend-independence of verdicts and counts. */
     bool mmapStore = false;
 
-    /** e.g. "ws/por/sym/compact/t4" ("bfs/-/-/full/t1"); mmap arms
-     * append "-mmap" to the store segment. */
+    /** e.g. "por/sym/compact/t4" ("-/-/full/t1"); mmap arms append
+     * "-mmap" to the store segment. */
     std::string label() const;
 
     EngineOptions engineOptions() const;
@@ -67,14 +66,15 @@ struct ComboDesc {
  */
 ComboDesc referenceCombo();
 
-/** The full 16-combo cross product at one thread count (plus the
- * reference, which the oracle always runs first). */
+/** The full 8-combo cross product at one thread count, plus the
+ * mmap arm (and the reference, which the oracle always runs
+ * first). */
 std::vector<ComboDesc> fullPortfolio(std::size_t threads);
 
 /**
- * The corpus-replay portfolio from the acceptance criteria:
- * {bfs, ws} x {por} x {sym} at each of @p threadCounts, plus a
- * compact-store probe per schedule.
+ * The corpus-replay portfolio: {por} x {sym} at each of
+ * @p threadCounts, plus a compact-store probe and an mmap-backend
+ * probe per thread count.
  */
 std::vector<ComboDesc>
 replayPortfolio(const std::vector<std::size_t> &threadCounts);

@@ -2,12 +2,12 @@
  * @file
  * Bounded LRU memoization of served CheckResults.
  *
- * Soundness: the engines guarantee that verdicts, state counts and
- * diameters of *uncapped* runs are thread-count- and
- * schedule-deterministic, and renderJson(deterministic) zeroes the
- * wall-clock keys — so replaying the byte-exact first answer for an
- * identical request is indistinguishable from re-exploring.  The two
- * places that could break this are excluded by construction:
+ * Soundness: the engine guarantees that verdicts and counts of
+ * *uncapped* runs are thread-count-deterministic, and
+ * renderJson(deterministic) zeroes the wall-clock keys — so
+ * replaying the byte-exact first answer for an identical request is
+ * indistinguishable from re-exploring.  The two places that could
+ * break this are excluded by construction:
  *
  *  - budget-stopped runs (Incomplete verdicts) stop at
  *    wall-clock-/thread-dependent points, so cacheable() rejects
@@ -17,8 +17,8 @@
  *    built from *resolved* values (registry-canonical scenario name
  *    or content-hash case name, resolved device count, the 7 config
  *    bits, sorted-deduped families, resolved thread count and
- *    symmetry, schedule, caps, deterministic bit), so knob order and
- *    name aliases collapse and distinct semantics never alias.
+ *    symmetry, caps, deterministic bit), so knob order and name
+ *    aliases collapse and distinct semantics never alias.
  *
  * Thread-safe; one mutex (lookups copy small strings, eviction is
  * O(1) via the list/map classic).

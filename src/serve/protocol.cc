@@ -62,14 +62,13 @@ symmetryFromWord(const std::string &word)
     throw std::runtime_error("unknown sym mode '" + word + "'");
 }
 
-Schedule
-scheduleFromWord(const std::string &word)
+/** The BFS is the only schedule; "bfs" is accepted so older
+ * clients that send it explicitly keep working. */
+void
+checkScheduleWord(const std::string &word)
 {
-    if (word == "bfs")
-        return Schedule::Bfs;
-    if (word == "ws")
-        return Schedule::WorkSteal;
-    throw std::runtime_error("unknown schedule '" + word + "'");
+    if (word != "bfs")
+        throw std::runtime_error("unknown schedule '" + word + "'");
 }
 
 /** Shared header of every frame this file renders. */
@@ -124,9 +123,6 @@ renderRequestJson(const Request &request)
         engine.boolean("compact", *k.compact);
     if (knob(k.por.has_value()))
         engine.boolean("por", *k.por);
-    if (knob(k.schedule.has_value()))
-        engine.str("schedule",
-                   *k.schedule == Schedule::WorkSteal ? "ws" : "bfs");
     if (knob(k.maxStates.has_value()))
         engine.num("max_states", *k.maxStates);
     if (knob(k.expectStates.has_value()))
@@ -212,7 +208,7 @@ requestFromJson(const std::string &text)
         if (eng->get("por"))
             k.por = eng->getBool("por");
         if (eng->get("schedule"))
-            k.schedule = scheduleFromWord(eng->getStr("schedule"));
+            checkScheduleWord(eng->getStr("schedule"));
         if (eng->get("max_states"))
             k.maxStates = eng->get("max_states")->asUint();
         if (eng->get("expect_states"))

@@ -12,7 +12,7 @@
  *    "engine":{"threads":N,"sym":"auto|on|off",
  *              "store":"ram|ram-compact|mmap|mmap-compact",
  *              "compact":B,"por":B,
- *              "schedule":"bfs|ws","max_states":N,"expect_states":N,
+ *              "schedule":"bfs","max_states":N,"expect_states":N,
  *              "max_seconds":S,"max_rss_mb":N},
  *    "deterministic":B, "progress":B, "progress_interval":S}
  *
@@ -68,7 +68,6 @@ struct EngineKnobs {
     std::optional<StoreKind> store;
     std::optional<bool> compact;
     std::optional<bool> por;
-    std::optional<Schedule> schedule;
     std::optional<std::uint64_t> maxStates;
     std::optional<std::uint64_t> expectStates;
     std::optional<double> maxSeconds;

@@ -155,8 +155,6 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     }
     if (k.por)
         e.por = *k.por;
-    if (k.schedule)
-        e.schedule = *k.schedule;
     if (k.maxStates)
         e.maxStates = *k.maxStates;
     else if (request.inlineCase && request.inlineCase->maxStates != 0)
@@ -176,8 +174,8 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     // devices, config bits, families (sorted/deduped; the invariant
     // filter is order- and duplicate-insensitive), check kind, and
     // the engine knobs echoed in the JSON (resolved threads,
-    // resolved symmetry, the store's *compact bit*, por, schedule,
-    // the effective state cap) plus the deterministic rendering bit.
+    // resolved symmetry, the store's *compact bit*, por, the
+    // effective state cap) plus the deterministic rendering bit.
     // Excluded: budgets (maxSeconds/maxRssBytes/storeCapacity — they
     // only matter to Incomplete results, which are never cached),
     // expectedStates (presizing), the progress knobs (observation
@@ -203,12 +201,11 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
                                                 : "both";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "|d%d|c%02x|k%s|t%zu|y%d|m%d|p%d|h%s|x%llu|det%d",
+                  "|d%d|c%02x|k%s|t%zu|y%d|m%d|p%d|x%llu|det%d",
                   ndev, configBits(cfg), check_word,
                   resolvedThreads(e.threads), sym_on ? 1 : 0,
                   storeKindCompact(e.store) ? 1 : 0,
                   e.por ? 1 : 0,
-                  e.schedule == Schedule::WorkSteal ? "ws" : "bfs",
                   static_cast<unsigned long long>(cap),
                   request.deterministic ? 1 : 0);
     rr.cacheKey = ident + buf + "|f:";

@@ -90,7 +90,7 @@ class CancelToken
 
 /**
  * Route SIGINT and SIGTERM to @p token: the first signal trips the
- * token (the engines then stop gracefully and report an Incomplete
+ * token (the explorer then stops gracefully and reports an Incomplete
  * verdict with stop_reason "cancelled"); the handler re-arms the
  * default disposition, so a second signal kills the process the
  * normal way.  The token is kept alive process-wide.

@@ -7,8 +7,6 @@
  * super_sketch utility fans out concurrent sledgehammer instances.
  * A shared FIFO queue is entirely sufficient at that granularity;
  * submitBatch amortises the lock to one acquisition per fan-out.
- * (Fine-grained work *stealing* lives elsewhere: the explorer's
- * async schedule uses per-worker deques, checker/workqueue.hh.)
  */
 
 #ifndef CXL_SUPPORT_THREAD_POOL_HH

@@ -203,10 +203,10 @@ TEST(Oracle, PortfolioAgreesOnACorrectProgramScenario)
         << report.divergences.front();
     EXPECT_EQ(report.reference.verdict, "holds");
     EXPECT_TRUE(report.reference.exactCounts);
-    // Symmetry arms are skipped for program scenarios: 17 combos
-    // (the 16-way cross product plus the mmap arm) minus 8 sym arms,
+    // Symmetry arms are skipped for program scenarios: 9 combos
+    // (the 8-way cross product plus the mmap arm) minus 4 sym arms,
     // plus the reference.
-    EXPECT_EQ(report.runs.size(), 10u);
+    EXPECT_EQ(report.runs.size(), 6u);
 }
 
 TEST(Oracle, PortfolioAgreesOnAMutatedViolatingScenario)
@@ -226,7 +226,7 @@ TEST(Oracle, PortfolioAgreesOnAMutatedViolatingScenario)
     EXPECT_FALSE(report.diverged())
         << report.divergences.front();
     EXPECT_EQ(report.reference.verdict, "violation");
-    EXPECT_EQ(report.runs.size(), 18u);
+    EXPECT_EQ(report.runs.size(), 10u);
 }
 
 TEST(Oracle, ComparesOnlySymInvariantFactsAcrossSymmetryClasses)
@@ -250,7 +250,7 @@ TEST(Oracle, ComparesOnlySymInvariantFactsAcrossSymmetryClasses)
     c.config.relaxOneSnoop = true;
 
     OracleOptions opt;
-    opt.portfolio = {ComboDesc{Schedule::Bfs, false, true, false, 1}};
+    opt.portfolio = {ComboDesc{false, true, false, 1}};
     opt.randomWalkProbe = false;
     const Oracle oracle(std::move(opt));
 
@@ -272,12 +272,11 @@ TEST(Oracle, FlagsAPlantedDivergence)
     c.programs = {{Instr::Store}, {Instr::Load}};
 
     OracleOptions oopt;
-    oopt.portfolio = {
-        ComboDesc{Schedule::WorkSteal, false, false, false, 1}};
+    oopt.portfolio = {ComboDesc{false, false, true, 1}};
     oopt.randomWalkProbe = false;
     oopt.sessionHook = [&](CheckSession &session,
                            const ComboDesc &combo) {
-        if (combo.schedule != Schedule::WorkSteal)
+        if (!combo.compact)
             return;
         Rule evil;
         evil.name = "planted_corruption";

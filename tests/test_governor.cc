@@ -77,26 +77,21 @@ expectGovernedStop(const CheckResult &res, StopReason reason,
 
 // ------------------------------------------------------- deadlines
 
-TEST(Governor, DeadlineStopsEveryScheduleAndThreadCount)
+TEST(Governor, DeadlineStopsEveryThreadCount)
 {
     // A microscopic budget trips at the very first poll, so the run
     // reports the smallest possible prefix — at any thread count,
-    // under both schedules, without an exception in sight.
+    // without an exception in sight.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u, 8u}) {
-            EngineOptions engine;
-            engine.schedule = sched;
-            engine.threads = threads;
-            engine.maxSeconds = 1e-6;
-            CheckResult res;
-            ASSERT_NO_THROW(
-                res = session.run(freeRunRequest(2, engine)))
-                << "schedule " << static_cast<int>(sched)
-                << " threads " << threads;
-            expectGovernedStop(res, StopReason::Deadline, "deadline");
-            EXPECT_LE(res.states, kTwoDevFreeRunStates);
-        }
+    for (std::size_t threads : {1u, 4u, 8u}) {
+        EngineOptions engine;
+        engine.threads = threads;
+        engine.maxSeconds = 1e-6;
+        CheckResult res;
+        ASSERT_NO_THROW(res = session.run(freeRunRequest(2, engine)))
+            << "threads " << threads;
+        expectGovernedStop(res, StopReason::Deadline, "deadline");
+        EXPECT_LE(res.states, kTwoDevFreeRunStates);
     }
 }
 
@@ -104,38 +99,30 @@ TEST(Governor, DeadlineTruncatesABigSpaceMidFlight)
 {
     // 3-device unreduced free-run is ~861k states — far more than
     // 20 ms of exploration.  The run must stop with a strict prefix
-    // under every schedule x thread-count combination.
+    // at every thread count.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u, 8u}) {
-            EngineOptions engine;
-            engine.schedule = sched;
-            engine.threads = threads;
-            engine.maxSeconds = 0.02;
-            const CheckResult res =
-                session.run(freeRunRequest(3, engine));
-            expectGovernedStop(res, StopReason::Deadline, "deadline");
-            EXPECT_LT(res.states, 860925u);
-        }
+    for (std::size_t threads : {1u, 4u, 8u}) {
+        EngineOptions engine;
+        engine.threads = threads;
+        engine.maxSeconds = 0.02;
+        const CheckResult res = session.run(freeRunRequest(3, engine));
+        expectGovernedStop(res, StopReason::Deadline, "deadline");
+        EXPECT_LT(res.states, 860925u);
     }
 }
 
 // -------------------------------------------------- memory ceiling
 
-TEST(Governor, MemoryCeilingStopsBothSchedules)
+TEST(Governor, MemoryCeilingStopsTheRun)
 {
     // A 1-byte ceiling is below any process's resident set, so the
     // governor's very first RSS sample trips it.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        EngineOptions engine;
-        engine.schedule = sched;
-        engine.threads = 4;
-        engine.maxRssBytes = 1;
-        const CheckResult res =
-            session.run(freeRunRequest(2, engine));
-        expectGovernedStop(res, StopReason::Memory, "memory");
-    }
+    EngineOptions engine;
+    engine.threads = 4;
+    engine.maxRssBytes = 1;
+    const CheckResult res = session.run(freeRunRequest(2, engine));
+    expectGovernedStop(res, StopReason::Memory, "memory");
 }
 
 #if defined(__linux__)
@@ -179,17 +166,12 @@ TEST(Governor, PreCancelledTokenStopsBeforeExpansion)
     const CancelToken token = CancelToken::create();
     token.cancel();
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u}) {
-            EngineOptions engine;
-            engine.schedule = sched;
-            engine.threads = threads;
-            engine.cancel = token;
-            const CheckResult res =
-                session.run(freeRunRequest(2, engine));
-            expectGovernedStop(res, StopReason::Cancelled,
-                               "cancelled");
-        }
+    for (std::size_t threads : {1u, 4u}) {
+        EngineOptions engine;
+        engine.threads = threads;
+        engine.cancel = token;
+        const CheckResult res = session.run(freeRunRequest(2, engine));
+        expectGovernedStop(res, StopReason::Cancelled, "cancelled");
     }
 }
 
@@ -204,7 +186,6 @@ TEST(Governor, AsyncCancelStopsARunningExploration)
         token.cancel();
     });
     EngineOptions engine;
-    engine.schedule = Schedule::WorkSteal;
     engine.threads = 4;
     engine.cancel = token;
     CheckSession session;
@@ -321,21 +302,15 @@ TEST(Governor, ShardFullStopsGracefullyAtToyCapacity)
     // StoreFullError must be converted into a graceful Incomplete,
     // not escape as an exception.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u}) {
-            EngineOptions engine;
-            engine.schedule = sched;
-            engine.threads = threads;
-            engine.storeCapacity = 64;
-            CheckResult res;
-            ASSERT_NO_THROW(
-                res = session.run(freeRunRequest(2, engine)))
-                << "schedule " << static_cast<int>(sched)
-                << " threads " << threads;
-            expectGovernedStop(res, StopReason::ShardFull,
-                               "shard_full");
-            EXPECT_LT(res.states, kTwoDevFreeRunStates);
-        }
+    for (std::size_t threads : {1u, 4u}) {
+        EngineOptions engine;
+        engine.threads = threads;
+        engine.storeCapacity = 64;
+        CheckResult res;
+        ASSERT_NO_THROW(res = session.run(freeRunRequest(2, engine)))
+            << "threads " << threads;
+        expectGovernedStop(res, StopReason::ShardFull, "shard_full");
+        EXPECT_LT(res.states, kTwoDevFreeRunStates);
     }
 }
 
@@ -406,13 +381,12 @@ TEST(Oracle, PlantedSlowArmIsQuarantinedNotCompared)
     c.programs = {{Instr::Store}, {Instr::Load}};
 
     fuzz::OracleOptions oopt;
-    oopt.portfolio = {
-        fuzz::ComboDesc{Schedule::WorkSteal, false, false, false, 1}};
+    oopt.portfolio = {fuzz::ComboDesc{false, false, true, 1}};
     oopt.randomWalkProbe = false;
     oopt.armMaxSeconds = 0.2;
     oopt.sessionHook = [&](CheckSession &session,
                            const fuzz::ComboDesc &combo) {
-        if (combo.schedule != Schedule::WorkSteal)
+        if (!combo.compact)
             return;
         Rule sleepy;
         sleepy.name = "planted_sleeper";
@@ -431,7 +405,8 @@ TEST(Oracle, PlantedSlowArmIsQuarantinedNotCompared)
     const fuzz::OracleReport report = oracle.check(c);
 
     ASSERT_EQ(report.quarantined.size(), 1u);
-    EXPECT_NE(report.quarantined[0].find("ws/"), std::string::npos)
+    EXPECT_NE(report.quarantined[0].find("/compact/"),
+              std::string::npos)
         << report.quarantined[0];
     EXPECT_NE(report.quarantined[0].find(
                   stopReasonPhrase(StopReason::Deadline)),

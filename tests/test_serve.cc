@@ -52,7 +52,6 @@ fullRequest()
     r.engine.store = StoreKind::Mmap;
     r.engine.compact = true;
     r.engine.por = true;
-    r.engine.schedule = Schedule::WorkSteal;
     r.engine.maxStates = 12345;
     r.engine.expectStates = 99;
     r.engine.maxSeconds = 1.5;
@@ -80,7 +79,6 @@ TEST(ServeProtocol, RequestRoundTripsThroughJson)
     EXPECT_EQ(p.engine.store, r.engine.store);
     EXPECT_EQ(p.engine.compact, r.engine.compact);
     EXPECT_EQ(p.engine.por, r.engine.por);
-    EXPECT_EQ(p.engine.schedule, r.engine.schedule);
     EXPECT_EQ(p.engine.maxStates, r.engine.maxStates);
     EXPECT_EQ(p.engine.expectStates, r.engine.expectStates);
     EXPECT_EQ(p.engine.maxSeconds, r.engine.maxSeconds);
@@ -156,12 +154,20 @@ TEST(ServeProtocol, MalformedRequestsThrow)
                         "\"scenario\": \"free-run\", "
                         "\"engine\": {\"sym\": \"sometimes\"}}"),
         std::runtime_error);
-    EXPECT_THROW(
-        requestFromJson("{\"schema\": \"cxl-checkd/v1\", "
-                        "\"type\": \"check\", \"id\": \"x\", "
-                        "\"scenario\": \"free-run\", "
-                        "\"engine\": {\"schedule\": \"dfs\"}}"),
-        std::runtime_error);
+    // "bfs" is the one schedule; every other word is junk.
+    auto with_schedule = [](const std::string &word) {
+        return "{\"schema\": \"cxl-checkd/v1\", "
+               "\"type\": \"check\", \"id\": \"x\", "
+               "\"scenario\": \"free-run\", "
+               "\"engine\": {\"schedule\": \"" +
+               word + "\"}}";
+    };
+    EXPECT_NO_THROW(requestFromJson(with_schedule("bfs")));
+    for (const char *word : {"dfs", "ws"}) {
+        EXPECT_THROW(requestFromJson(with_schedule(word)),
+                     std::runtime_error)
+            << word;
+    }
     EXPECT_THROW(
         requestFromJson("{\"schema\": \"cxl-checkd/v1\", "
                         "\"type\": \"check\", \"id\": \"x\", "
@@ -388,7 +394,6 @@ TEST(ResolveRequest, KnobSpellingsThatMeanTheSameRunCollapse)
     Request explicitly = namedRequest("free-run");
     explicitly.engine.threads = 2;
     explicitly.engine.por = true;
-    explicitly.engine.schedule = Schedule::Bfs;
     EXPECT_EQ(keyOf(implicit, defaults), keyOf(explicitly, defaults));
 
     // Family restriction: order and duplicates are not semantics.
@@ -421,10 +426,6 @@ TEST(ResolveRequest, DistinctSemanticsNeverAlias)
     Request capped = namedRequest("free-run");
     capped.engine.maxStates = 1000;
     EXPECT_NE(keyOf(capped), base);
-
-    Request ws = namedRequest("free-run");
-    ws.engine.schedule = Schedule::WorkSteal;
-    EXPECT_NE(keyOf(ws), base);
 
     Request cfg = namedRequest("free-run");
     ProtocolConfig relaxed;

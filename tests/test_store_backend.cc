@@ -3,11 +3,11 @@
  * Backend conformance suite for the layered visited-state store: the
  * four StoreKinds (ram, ram-compact, mmap, mmap-compact) must present
  * identical packed-id semantics through the StateStore façade —
- * insert/lookup/dedup, depth relabeling, seal/retention per kind's
+ * insert/lookup/dedup, batched duplicates, seal/retention per kind's
  * contract, the StoreFullError capacity path (store-level and through
- * both engines), forged probe-hash collision detection — and the
- * engines must produce bit-identical state/transition counts on every
- * kind at 2-device and symmetry-reduced 3-device spaces.
+ * the explorer), forged probe-hash collision detection — and the
+ * explorer must produce bit-identical state/transition counts on
+ * every kind at 2-device and symmetry-reduced 3-device spaces.
  */
 
 #include <gtest/gtest.h>
@@ -119,7 +119,7 @@ TEST(StoreBackend, InsertLookupDedupAndBreadcrumbs)
     }
 }
 
-TEST(StoreBackend, BatchRelabelImprovesDepthOnEveryKind)
+TEST(StoreBackend, BatchDuplicateKeepsBreadcrumbsOnEveryKind)
 {
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
@@ -130,8 +130,7 @@ TEST(StoreBackend, BatchRelabelImprovesDepthOnEveryKind)
         ASSERT_TRUE(fresh) << k.name;
         EXPECT_EQ(store.depthAt(id), 9u) << k.name;
 
-        // A duplicate at a smaller depth relabels depth, parent and
-        // rule in place and reports improved.
+        // A batched duplicate resolves to the existing entry.
         StateStore::BatchItem item;
         item.state = probeState(1);
         item.hash = item.state.hash();
@@ -140,20 +139,16 @@ TEST(StoreBackend, BatchRelabelImprovesDepthOnEveryKind)
         item.depth = 2;
         store.insertBatch(&item, 1);
         EXPECT_FALSE(item.inserted) << k.name;
-        EXPECT_TRUE(item.improved) << k.name;
         EXPECT_EQ(item.id, id) << k.name;
-        EXPECT_EQ(store.depthAt(id), 2u) << k.name;
-        EXPECT_EQ(store.parentAt(id), root) << k.name;
-        EXPECT_EQ(store.ruleAt(id), 3u) << k.name;
+        EXPECT_EQ(store.size(), 2u) << k.name;
 
         // A duplicate at a larger depth changes nothing.
-        item.depth = 5;
+        item.depth = 12;
         item.rule = 11;
         store.insertBatch(&item, 1);
         EXPECT_FALSE(item.inserted) << k.name;
-        EXPECT_FALSE(item.improved) << k.name;
-        EXPECT_EQ(store.depthAt(id), 2u) << k.name;
-        EXPECT_EQ(store.ruleAt(id), 3u) << k.name;
+        EXPECT_EQ(store.depthAt(id), 9u) << k.name;
+        EXPECT_EQ(store.ruleAt(id), 7u) << k.name;
     }
 }
 
@@ -385,32 +380,25 @@ TEST(StoreBackend, ThreeDeviceSymCountsBitIdenticalAcrossKinds)
     }
 }
 
-TEST(StoreBackend, ShardFullStopsBothEnginesOnEveryKind)
+TEST(StoreBackend, ShardFullStopsTheExplorerOnEveryKind)
 {
     // A 64-entry store cannot hold the 2-device free-run space; the
     // StoreFullError must become a graceful governed stop on every
-    // kind under both schedules, never an escaping exception.
+    // kind, never an escaping exception.
     ProtocolConfig config = ProtocolConfig::correct();
     RuleSet rules(config);
     Scenario sc = Scenario::freeRunScenario();
     InvariantSet inv = InvariantSet::full(config);
 
     for (const Kind &k : kKinds) {
-        for (Schedule sched :
-             {Schedule::Bfs, Schedule::WorkSteal}) {
-            ExploreOptions opt;
-            opt.storeCapacity = 64;
-            opt.schedule = sched;
-            ExploreResult res;
-            ASSERT_NO_THROW(
-                res = runKind(rules, sc, inv, opt, k, 4))
-                << k.name;
-            EXPECT_EQ(res.stopReason, StopReason::ShardFull)
-                << k.name << " sched "
-                << static_cast<int>(sched);
-            EXPECT_FALSE(res.completed) << k.name;
-            EXPECT_FALSE(res.violation.has_value()) << k.name;
-        }
+        ExploreOptions opt;
+        opt.storeCapacity = 64;
+        ExploreResult res;
+        ASSERT_NO_THROW(res = runKind(rules, sc, inv, opt, k, 4))
+            << k.name;
+        EXPECT_EQ(res.stopReason, StopReason::ShardFull) << k.name;
+        EXPECT_FALSE(res.completed) << k.name;
+        EXPECT_FALSE(res.violation.has_value()) << k.name;
     }
 }
 
