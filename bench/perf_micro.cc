@@ -255,6 +255,28 @@ BM_StateStoreInsertBatched(benchmark::State &state)
 BENCHMARK(BM_StateStoreInsertBatched);
 
 void
+BM_StoreSmallRun(benchmark::State &state)
+{
+    // A whole store lifecycle per iteration — construct with the
+    // explorer's bucket hint, 300 inserts, destroy — all timed: the
+    // fixed cost every small check (a served cache miss) pays.
+    std::vector<SystemState> states = insertBatch(0);
+    for (const SystemState &s : insertBatch(1)) {
+        if (states.size() == 300)
+            break;
+        states.push_back(s);
+    }
+    for (auto _ : state) {
+        StateStore store(1 << 16);
+        for (const SystemState &s : states)
+            store.insert(s, StateStore::kNoParent, 0, 0);
+        benchmark::DoNotOptimize(store.size());
+    }
+    state.SetItemsProcessed(state.iterations() * 300);
+}
+BENCHMARK(BM_StoreSmallRun);
+
+void
 BM_ExhaustiveSwmrVerification(benchmark::State &state)
 {
     // End-to-end Theorem 6.2 through the session façade: the full

@@ -442,9 +442,7 @@ Explorer::run(const ExploreOptions &options)
 
         auto workLevel = [&](WorkerScratch &ws) {
             Context wctx{&scenario_};
-            // Compact-mode cells are decompressed into this per-call
-            // buffer; full mode reads the arena slot in place.
-            SystemState decode_buf;
+            SystemState node_state;
             for (;;) {
                 if (governor.stopped())
                     return;
@@ -456,14 +454,7 @@ Explorer::run(const ExploreOptions &options)
                     std::min(begin + grain, frontier.size());
                 for (std::size_t i = begin; i < end; ++i) {
                     const std::uint32_t node_idx = frontier[i];
-                    const SystemState *node_ptr;
-                    if (options.compaction) {
-                        store.stateInto(node_idx, decode_buf);
-                        node_ptr = &decode_buf;
-                    } else {
-                        node_ptr = &store.stateAt(node_idx);
-                    }
-                    const SystemState &node_state = *node_ptr;
+                    store.stateInto(node_idx, node_state);
                     if (options.por) {
                         rules_.successorsPor(
                             node_state, scenario_,
@@ -526,13 +517,13 @@ Explorer::run(const ExploreOptions &options)
                                  perm_key});
                         }
 
-                        StateStore::BatchItem item;
+                        StateStore::BatchItem &item =
+                            ws.batch.emplace_back();
                         item.hash = succ.state.hash();
-                        item.state = std::move(succ.state);
+                        item.state = succ.state;
                         item.parent = node_idx;
                         item.depth = depth + 1;
                         item.rule = succ.rule->id;
-                        ws.batch.push_back(std::move(item));
 
                         if (succ.overflow) {
                             if (!node_hash_valid) {

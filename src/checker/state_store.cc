@@ -1,6 +1,7 @@
 #include "checker/state_store.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <tuple>
 
 namespace cxl
@@ -31,7 +32,7 @@ StateStore::StateStore(const StoreConfig &config)
         needsVerify_ = mode_ == StoreMode::Compact ||
                        shard.arena.recoverable();
         shard.cols.init(shard.mem.get(), needsVerify_,
-                        per_shard_buckets, kOffsetMask);
+                        per_shard_buckets);
     }
 }
 
@@ -47,15 +48,19 @@ StateStore::reserveStates(std::uint64_t expected)
 }
 
 void
-StateStore::stateInto(std::uint32_t id, SystemState &out) const
+StateStore::admitDevicesSlow(std::uint8_t ndev)
 {
-    const Shard &shard = shards_[shardOf(id)];
-    const std::uint32_t off = id & kOffsetMask;
-    if (mode_ == StoreMode::Full) {
-        out = *shard.arena.fullAtCold(off);
+    std::uint8_t held = 0;
+    if (ndev >= 1 && ndev <= kMaxDevices &&
+        (ndev_.compare_exchange_strong(held, ndev,
+                                       std::memory_order_relaxed) ||
+         held == ndev))
         return;
-    }
-    shard.arena.cellInto(off, out);
+    throw std::invalid_argument(
+        "StateStore: a full-mode store keeps one device count; it "
+        "holds " +
+        std::to_string(held) + "-device states, cannot insert a " +
+        std::to_string(ndev) + "-device state");
 }
 
 std::pair<std::uint32_t, bool>
@@ -68,6 +73,7 @@ StateStore::insert(const SystemState &state, std::uint64_t hash,
     // computed before the lock is taken.
     const auto shard_idx =
         static_cast<std::uint32_t>(hash >> (64 - kShardBits));
+    admitDevices(state);
     const std::uint64_t verify =
         needsVerify_ ? state.fingerprint() : 0;
     Shard &shard = shards_[shard_idx];
@@ -85,12 +91,14 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
 
     constexpr std::uint32_t kEnd = 0xffffffffu;
 
-    // Fingerprints are computed before any lock.  (Cell compression
+    // Device counts are admitted, so a bad batch inserts nothing, and
+    // fingerprints computed, before any lock.  (Cell compression
     // happens under the lock instead, but only for the ~third of
     // successors that turn out to be new — cheaper in aggregate than
     // encoding every duplicate up front.)
-    if (needsVerify_) {
-        for (std::size_t i = 0; i < count; ++i)
+    for (std::size_t i = 0; i < count; ++i) {
+        admitDevices(items[i].state);
+        if (needsVerify_)
             items[i].verify_ = items[i].state.fingerprint();
     }
 
@@ -156,9 +164,10 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
             bool same;
             if (mode_ == StoreMode::Compact) {
                 same = cols.verifyAt(off) == verify;
-            } else if (const SystemState *stored =
+            } else if (const std::byte *stored =
                            shard.arena.fullIfMapped(off)) {
-                same = *stored == state;
+                same = std::memcmp(stored, &state,
+                                   shard.arena.fullStride()) == 0;
             } else {
                 same = cols.verifyAt(off) == verify;
             }

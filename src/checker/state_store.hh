@@ -11,12 +11,13 @@
  * allocated from a per-shard memory backend:
  *
  *  - ShardColumns (store_columns.hh): the struct-of-arrays entry
- *    columns — probe hash, verification fingerprint, parent, rule,
- *    chunked atomic depth — plus the bucket array.  Shard growth
- *    rehashes from the stored probe hashes, never from state bytes.
- *  - StateArena (store_arena.hh): the state bytes, as verbatim
- *    full-mode blocks or zero-RLE compact cells, with the
- *    sealLevel() block-release machinery.
+ *    columns — probe hash, verification fingerprint, rule, and
+ *    parent paired with depth, each a flat array — plus the bucket
+ *    array.  Shard growth rehashes from the stored probe hashes,
+ *    never from state bytes.
+ *  - StateArena (store_arena.hh): the state bytes, as full-mode
+ *    slots at the active-prefix stride or zero-RLE compact cells,
+ *    with the sealLevel() block-release machinery.
  *  - ShardMem (store_mem.hh): where both layers get memory.  InRam
  *    is the classic heap layout; Mmap gives every shard file-backed
  *    growable mappings (anonymous memfd, or files under an explicit
@@ -28,11 +29,15 @@
  *
  *  - Full: the classic Murphi layout.  States are kept verbatim, so
  *    deduplication is exact and counterexample traces can be rebuilt
- *    from the breadcrumbs.  (On the Mmap backend, entries whose
- *    blocks have been sealed cold are deduplicated by their stored
- *    64-bit verification fingerprint instead of refaulting the block
- *    — detected-collision semantics identical to compact mode for
- *    exactly those entries; the mapped window still compares bytes.)
+ *    from the breadcrumbs.  Only the active prefix is stored
+ *    (SystemState::activeBytes()), so one full-mode store holds
+ *    states of one device count: the first insert fixes it and a
+ *    state with another ndev throws std::invalid_argument.  (On the
+ *    Mmap backend, entries whose blocks have been sealed cold are
+ *    deduplicated by their stored 64-bit verification fingerprint
+ *    instead of refaulting the block — detected-collision semantics
+ *    identical to compact mode for exactly those entries; the mapped
+ *    window still compares bytes.)
  *  - Compact: Murphi hash compaction.  Only a second 64-bit
  *    verification fingerprint is kept per entry; the frontier's state
  *    bytes live zero-RLE-compressed in a transient byte arena whose
@@ -52,13 +57,13 @@
  * kNoParent.
  *
  * Thread-safety: insert() and insertBatch() may be called
- * concurrently from any number of threads.  stateAt()/stateInto()
- * are safe concurrently with inserts *for ids published before the
- * current expansion phase began* (the arena blocks holding them are
- * fixed, and the block/offset spines never reallocate).
- * depthAt(), parentAt(), ruleAt() and sealLevel() must only be used
- * while the store is quiescent — the explorer calls them between
- * depth barriers or after termination.
+ * concurrently from any number of threads.  stateInto() is safe
+ * concurrently with inserts *for ids published before the current
+ * expansion phase began* (the arena blocks holding them are fixed,
+ * and the block/offset spines never reallocate).  depthAt(),
+ * parentAt(), ruleAt() and sealLevel() must only be used while the
+ * store is quiescent — the explorer calls them between depth
+ * barriers or after termination.
  *
  * A duplicate insert leaves the stored entry's breadcrumbs (depth,
  * parent, rule) untouched: the first path to reach a state wins.
@@ -70,7 +75,6 @@
 #define CXL_CHECKER_STATE_STORE_HH
 
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -244,29 +248,20 @@ class StateStore
     void insertBatch(BatchItem *items, std::size_t count);
 
     /**
-     * Reference to the state bytes for a packed id; full mode only
-     * (compact-mode cells are compressed — use stateInto), and only
-     * for ids whose arena block is still mapped (all of them on
-     * InRam; the frontier window on Mmap — sealed ids go through
-     * stateInto).  See the class comment for thread-safety.
-     */
-    const SystemState &
-    stateAt(std::uint32_t id) const
-    {
-        assert(mode_ == StoreMode::Full &&
-               "stateAt needs verbatim states; use stateInto");
-        return *shards_[shardOf(id)].arena.fullAt(id & kOffsetMask);
-    }
-
-    /**
-     * Copy/decode the state bytes for a packed id into @p out.  Works
-     * in both modes; the entry must still be retained (see
+     * Copy/decode the state bytes for a packed id into @p out — the
+     * store's only read path.  The active prefix is copied (full) or
+     * decoded (compact) and the inactive device slots are left as
+     * default bytes.  The entry must still be retained (see
      * stateRetained — on recoverable backends every entry is, with
      * sealed blocks remapped on demand, in which case the call must
      * hold no expectation of lock-freedom: quiescent or shard-lock
      * use only).
      */
-    void stateInto(std::uint32_t id, SystemState &out) const;
+    void
+    stateInto(std::uint32_t id, SystemState &out) const
+    {
+        shards_[shardOf(id)].arena.stateInto(id & kOffsetMask, out);
+    }
 
     /** True iff the state bytes of @p id are still readable: always
      * in full mode and on recoverable (Mmap) backends; in InRam
@@ -309,9 +304,7 @@ class StateStore
     std::uint32_t
     depthAt(std::uint32_t id) const
     {
-        return shards_[shardOf(id)]
-            .cols.depthCell(id & kOffsetMask)
-            .load(std::memory_order_relaxed);
+        return shards_[shardOf(id)].cols.depthAt(id & kOffsetMask);
     }
 
     /**
@@ -379,13 +372,21 @@ class StateStore
                       std::uint64_t verify, std::uint32_t parent,
                       std::uint16_t rule_id, std::uint32_t depth);
 
-    /** Whether entries carry a verification fingerprint (compact
-     * mode, and full mode on recoverable backends — see the file
-     * comment). */
-    bool needsVerify() const { return needsVerify_; }
+    /** Full mode: admit @p state's device count, fixing it on the
+     * first insert.  @throws std::invalid_argument on a mismatch. */
+    void
+    admitDevices(const SystemState &state)
+    {
+        if (mode_ == StoreMode::Full &&
+            state.ndev != ndev_.load(std::memory_order_relaxed))
+            admitDevicesSlow(state.ndev);
+    }
+    void admitDevicesSlow(std::uint8_t ndev);
 
     Shard shards_[kNumShards];
     std::atomic<std::uint64_t> total_{0};
+    /** Full mode: device count of every stored state (0 = none yet). */
+    std::atomic<std::uint8_t> ndev_{0};
     StoreMode mode_;
     StoreBackend backend_;
     bool needsVerify_;

@@ -1,6 +1,7 @@
 #include "checker/store_arena.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <string>
 
@@ -117,10 +118,10 @@ StateArena::init(ShardMem *mem, StoreMode mode,
     mem_ = mem;
     mode_ = mode;
     if (mode_ == StoreMode::Full) {
+        // blockBytes_ waits for the stride, fixed by the first
+        // placeFull.
         blockBits_ = mem_->recoverable() ? kFullBlockBitsMmap
                                          : kFullBlockBitsRam;
-        blockBytes_ = static_cast<std::size_t>(1u << blockBits_) *
-                      sizeof(SystemState);
         // Fully reserve the block spine: it must never reallocate,
         // because readers index it lock-free (see the class comment).
         blocks_.reserve((max_entries >> blockBits_) + 1);
@@ -144,27 +145,38 @@ StateArena::recoverBlock(std::uint32_t block) const
     return p;
 }
 
-const SystemState *
-StateArena::fullAtCold(std::uint32_t off) const
+void
+StateArena::stateInto(std::uint32_t off, SystemState &out) const
 {
-    const std::uint32_t block = off >> blockBits_;
-    const std::byte *base = blocks_[block];
-    if (!base)
-        base = recoverBlock(block);
-    return slotAt(base, off);
+    if (mode_ == StoreMode::Compact) {
+        const std::uint32_t byte_off = stateOffAt(off);
+        assert(cellRetained(off) && "state released by sealLevel");
+        decodeCell(blockBase(byte_off >> blockBits_) +
+                       (byte_off & (blockBytes_ - 1)),
+                   out);
+        return;
+    }
+    auto *dst = reinterpret_cast<std::byte *>(&out);
+    std::memcpy(dst, blockBase(off >> blockBits_) + slotOffset(off),
+                stride_);
+    std::memset(dst + stride_, 0, sizeof(SystemState) - stride_);
 }
 
 void
 StateArena::placeFull(std::uint32_t off, const SystemState &state)
 {
+    if (stride_ == 0) {
+        stride_ = state.activeBytes();
+        blockBytes_ = (std::size_t{1} << blockBits_) * stride_;
+    }
+    assert(state.activeBytes() == stride_ &&
+           "the façade admits one device count per full-mode store");
     const std::uint32_t block = off >> blockBits_;
     if (block == blocks_.size()) {
         blocks_.push_back(static_cast<std::byte *>(
             mem_->blockAlloc(block, blockBytes_)));
     }
-    new (blocks_[block] +
-         static_cast<std::size_t>(off & ((1u << blockBits_) - 1)) *
-             sizeof(SystemState)) SystemState(state);
+    std::memcpy(blocks_[block] + slotOffset(off), &state, stride_);
 }
 
 void
@@ -200,18 +212,6 @@ StateArena::appendCell(std::uint32_t shard_idx, std::uint32_t off,
     stateOffs_[chunk][off & (kOffChunkSize - 1)] =
         static_cast<std::uint32_t>(at);
     byteCursor_ = at + enc_len;
-}
-
-void
-StateArena::cellInto(std::uint32_t off, SystemState &out) const
-{
-    const std::uint32_t byte_off = stateOffAt(off);
-    assert(cellRetained(off) && "state released by sealLevel");
-    const std::uint32_t block = byte_off >> blockBits_;
-    const std::byte *base = blocks_[block];
-    if (!base)
-        base = recoverBlock(block);
-    decodeCell(base + (byte_off & (blockBytes_ - 1)), out);
 }
 
 void

@@ -6,10 +6,19 @@
  * index-addressed blocks allocated from the shard's ShardMem backend
  * (store_mem.hh):
  *
- *  - Full mode: verbatim SystemState slots, blockStates() per block.
+ *  - Full mode: verbatim slots at the active-prefix stride
+ *    (SystemState::activeBytes(): 123/182/241 bytes for 2/3/4
+ *    devices), 2^fullBlockBits() slots per block.  The stride is
+ *    fixed by the shard's first placeFull (the façade guarantees
+ *    every full-mode insert has the same device count); the inactive
+ *    device slots are default bytes in every state of a run, so they
+ *    are not stored.
  *  - Compact mode: zero-RLE cells in byte blocks, located by a
  *    chunked per-entry offset column (chunks never move, so workers
  *    may read frontier offsets while peers append).
+ *
+ * stateInto() is the only read path for both modes: it copies (or
+ * decodes) the active prefix and zeroes the rest of the SystemState.
  *
  * The block-pointer spine is fully reserved at init so it never
  * reallocates — readers index it lock-free for entries published
@@ -24,10 +33,10 @@
  * recoverable backend (Mmap) *both* modes drop: the mapped window
  * shrinks to roughly the frontier and its successors while the
  * backing file keeps every byte, and a dropped block can be remapped
- * on demand (fullAtCold()/cellInto()) — which is also why
- * counterexample traces stay reconstructible under mmap even in
- * compact mode.  Recovered blocks are re-dropped at the next seal
- * (the drop loop rescans from block zero).
+ * on demand (stateInto()) — which is also why counterexample traces
+ * stay reconstructible under mmap even in compact mode.  Recovered
+ * blocks are re-dropped at the next seal (the drop loop rescans from
+ * block zero).
  *
  * Full-mode dedup against a sealed (dropped) block would fault pages
  * back per duplicate and re-grow the mapped window; the façade
@@ -36,19 +45,17 @@
  * null — identical detected-collision semantics to compact mode for
  * cold entries, exact byte comparison for the mapped window.
  *
- * Thread-safety: placeFull/appendCell/seal and the cold (recovering)
- * readers run under the shard lock or quiescent; fullAt/cellInto on
- * retained frontier entries follow the façade's lock-free reader
- * contract.
+ * Thread-safety: placeFull/appendCell/seal, fullIfMapped and the
+ * cold (recovering) reads run under the shard lock or quiescent;
+ * stateInto on retained frontier entries follows the façade's
+ * lock-free reader contract.
  */
 
 #ifndef CXL_CHECKER_STORE_ARENA_HH
 #define CXL_CHECKER_STORE_ARENA_HH
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <vector>
 
 #include "checker/store_mem.hh"
@@ -67,9 +74,9 @@ enum class StoreMode : std::uint8_t {
 class StateArena
 {
   public:
-    /** log2 of states per full-mode block: ~2 MB heap blocks in RAM;
-     * smaller (~1 MB) blocks under mmap so the partial-block slack at
-     * the mapped window's edges stays small. */
+    /** log2 of slots per full-mode block: 1-2 MB heap blocks in RAM
+     * (8192 slots of 123-241 bytes); half that under mmap so the
+     * partial-block slack at the mapped window's edges stays small. */
     static constexpr std::uint32_t kFullBlockBitsRam = 13;
     static constexpr std::uint32_t kFullBlockBitsMmap = 12;
     /** log2 of the compact-mode byte-block size (256 KiB). */
@@ -101,32 +108,31 @@ class StateArena
      * file. */
     bool recoverable() const { return mem_->recoverable(); }
 
+    /**
+     * Copy (full) or decode (compact) entry @p off's state into
+     * @p out; bytes past the active prefix are zeroed.  A dropped
+     * block is remapped first — then shard lock held or quiescent.
+     */
+    void stateInto(std::uint32_t off, SystemState &out) const;
+
     // --- Full mode ---------------------------------------------------
 
-    /** State slot for a retained (mapped) entry; lock-free-safe for
-     * published entries of the mapped window. */
-    const SystemState *
-    fullAt(std::uint32_t off) const
-    {
-        const std::byte *base = blocks_[off >> blockBits_];
-        assert(base && "state block sealed; use fullAtCold");
-        return slotAt(base, off);
-    }
+    /** Bytes per full-mode slot (the active prefix of the states this
+     * shard holds); 0 before the first placeFull. */
+    std::size_t fullStride() const { return stride_; }
 
-    /** Like fullAt but null when the enclosing block was dropped —
-     * the façade's cue to fall back to fingerprint identity. */
-    const SystemState *
+    /** Entry @p off's slot bytes (fullStride() of them), or null when
+     * the enclosing block was dropped — the façade's cue to fall back
+     * to fingerprint identity. */
+    const std::byte *
     fullIfMapped(std::uint32_t off) const
     {
         const std::byte *base = blocks_[off >> blockBits_];
-        return base ? slotAt(base, off) : nullptr;
+        return base ? base + slotOffset(off) : nullptr;
     }
 
-    /** fullAt that remaps a dropped block first (shard lock held or
-     * quiescent; recoverable backends only once anything sealed). */
-    const SystemState *fullAtCold(std::uint32_t off) const;
-
-    /** Copy-construct entry @p off's state slot (shard lock held). */
+    /** Copy the active prefix of @p state into entry @p off's slot
+     * (shard lock held).  The first call fixes the stride. */
     void placeFull(std::uint32_t off, const SystemState &state);
 
     // --- Compact mode ------------------------------------------------
@@ -138,10 +144,6 @@ class StateArena
      */
     void appendCell(std::uint32_t shard_idx, std::uint32_t off,
                     const SystemState &state);
-
-    /** Decode entry @p off's cell (recovering its block if sealed —
-     * then shard lock held or quiescent). */
-    void cellInto(std::uint32_t off, SystemState &out) const;
 
     /** True while entry @p off's cell is still decodable: always on a
      * recoverable backend; until seal() releases the enclosing block
@@ -163,13 +165,19 @@ class StateArena
     void seal(std::uint32_t entry_count);
 
   private:
-    const SystemState *
-    slotAt(const std::byte *base, std::uint32_t off) const
+    std::size_t
+    slotOffset(std::uint32_t off) const
     {
-        return std::launder(reinterpret_cast<const SystemState *>(
-            base +
-            static_cast<std::size_t>(off & ((1u << blockBits_) - 1)) *
-                sizeof(SystemState)));
+        return static_cast<std::size_t>(off & ((1u << blockBits_) - 1)) *
+               stride_;
+    }
+
+    /** Block @p block's base, remapping it when dropped. */
+    const std::byte *
+    blockBase(std::uint32_t block) const
+    {
+        const std::byte *base = blocks_[block];
+        return base ? base : recoverBlock(block);
     }
 
     std::uint32_t
@@ -185,6 +193,7 @@ class StateArena
     StoreMode mode_ = StoreMode::Full;
     std::uint32_t blockBits_ = kFullBlockBitsRam;
     std::size_t blockBytes_ = 0;
+    std::size_t stride_ = 0; ///< full: bytes per slot (0 = unset)
     /**
      * Block-pointer cache, fully reserved (never reallocates; see the
      * file comment).  Null means dropped; mutable because cold reads

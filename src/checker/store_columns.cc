@@ -1,7 +1,6 @@
 #include "checker/store_columns.hh"
 
 #include <cstring>
-#include <new>
 
 namespace cxl
 {
@@ -22,12 +21,10 @@ pow2AtLeast(std::size_t n)
 
 void
 ShardColumns::init(ShardMem *mem, bool keep_verifies,
-                   std::size_t initial_buckets,
-                   std::uint32_t max_entries)
+                   std::size_t initial_buckets)
 {
     mem_ = mem;
     keepVerifies_ = keep_verifies;
-    depths_.reserve((max_entries >> kDepthChunkBits) + 1);
     sizeBuckets(pow2AtLeast(initial_buckets));
 }
 
@@ -61,8 +58,8 @@ ShardColumns::growColumns(std::size_t need)
         verifies_ = static_cast<std::uint64_t *>(mem_->flatGrow(
             ShardMem::kFlatVerifies, cap * sizeof(std::uint64_t)));
     }
-    parents_ = static_cast<std::uint32_t *>(mem_->flatGrow(
-        ShardMem::kFlatParents, cap * sizeof(std::uint32_t)));
+    crumbs_ = static_cast<Crumb *>(mem_->flatGrow(
+        ShardMem::kFlatParents, cap * sizeof(Crumb)));
     rules_ = static_cast<std::uint16_t *>(mem_->flatGrow(
         ShardMem::kFlatRules, cap * sizeof(std::uint16_t)));
     entryCap_ = cap;
@@ -79,18 +76,8 @@ ShardColumns::append(std::uint64_t hash, std::uint64_t verify,
     hashes_[off] = hash;
     if (keepVerifies_)
         verifies_[off] = verify;
-    parents_[off] = parent;
+    crumbs_[off] = Crumb{parent, depth};
     rules_[off] = rule;
-    const std::uint32_t chunk = off >> kDepthChunkBits;
-    if (chunk == depths_.size()) {
-        auto *cells = static_cast<std::atomic<std::uint32_t> *>(
-            mem_->chunkAlloc(kDepthChunkSize *
-                             sizeof(std::atomic<std::uint32_t>)));
-        for (std::uint32_t i = 0; i < kDepthChunkSize; ++i)
-            new (&cells[i]) std::atomic<std::uint32_t>();
-        depths_.push_back(cells);
-    }
-    depthCell(off).store(depth, std::memory_order_relaxed);
     ++count_;
     return off;
 }

@@ -3,19 +3,17 @@
  * Shard-column layer of the visited-state store.
  *
  * One ShardColumns instance holds a shard's struct-of-arrays entry
- * columns — probe hash, verification fingerprint, parent, rule, and
- * the chunked atomic depth column — plus the open-addressing bucket
- * array, all allocated from the shard's ShardMem backend
- * (store_mem.hh).  The probe/insert *algorithm* stays in the
- * StateStore façade; this layer only owns the memory layout:
- *
- *  - the hash/verify/parent/rule columns and the bucket array are
- *    backend flats — they may move when grown, so they are touched
- *    only under the shard lock (or quiescent), matching the façade's
- *    published thread-safety contract;
- *  - the depth column lives in fixed-size chunks (backend chunkAlloc,
- *    addresses never move) behind a fully-reserved spine, so column
- *    growth never copies it.
+ * columns — probe hash, verification fingerprint, rule, and parent
+ * paired with depth — plus the open-addressing bucket array, all
+ * allocated as backend flats from the shard's ShardMem
+ * (store_mem.hh).  Depth shares the parent flat, one {parent, depth}
+ * pair per entry, because each flat is one backing file per shard on
+ * the Mmap backend and files cost store start-up time.  The
+ * probe/insert *algorithm* stays in the StateStore façade; this layer
+ * only owns the memory layout.  Flats may move when grown, so every
+ * column is touched only under the shard lock or while the store is
+ * quiescent — the BFS reads depths only between levels (POR sleep
+ * masks, violation resolution).
  *
  * Growth doubles the entry capacity (realloc-style, preserved by the
  * backend) and rehashes buckets from the stored probe hashes only —
@@ -26,10 +24,8 @@
 #ifndef CXL_CHECKER_STORE_COLUMNS_HH
 #define CXL_CHECKER_STORE_COLUMNS_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "checker/store_mem.hh"
 
@@ -40,20 +36,14 @@ namespace cxl
 class ShardColumns
 {
   public:
-    /** log2 of entries per depth-column chunk. */
-    static constexpr std::uint32_t kDepthChunkBits = 16;
-    static constexpr std::uint32_t kDepthChunkSize =
-        1u << kDepthChunkBits;
-
     /**
      * Bind to a backend and size the initial bucket array.
      * @p keep_verifies stores the 64-bit verification fingerprint per
      * entry (compact mode, and full-mode backends that dedup sealed
-     * entries by fingerprint).  @p max_entries bounds the depth-chunk
-     * spine reservation.
+     * entries by fingerprint).
      */
     void init(ShardMem *mem, bool keep_verifies,
-              std::size_t initial_buckets, std::uint32_t max_entries);
+              std::size_t initial_buckets);
 
     std::uint32_t count() const { return count_; }
     std::uint64_t mask() const { return mask_; }
@@ -77,20 +67,16 @@ class ShardColumns
     }
     std::uint32_t parentAt(std::uint32_t off) const
     {
-        return parents_[off];
+        return crumbs_[off].parent;
     }
     std::uint16_t ruleAt(std::uint32_t off) const
     {
         return rules_[off];
     }
 
-    /** Lock-free-readable depth cell (chunked atomics; see file
-     * comment). */
-    std::atomic<std::uint32_t> &
-    depthCell(std::uint32_t off) const
+    std::uint32_t depthAt(std::uint32_t off) const
     {
-        return depths_[off >> kDepthChunkBits]
-                      [off & (kDepthChunkSize - 1)];
+        return crumbs_[off].depth;
     }
 
     /** Detected probe-hash collision counter (façade-maintained). */
@@ -121,18 +107,21 @@ class ShardColumns
     void reserveEntries(std::size_t entries);
 
   private:
+    /** One entry's BFS breadcrumb (the kFlatParents element). */
+    struct Crumb {
+        std::uint32_t parent;
+        std::uint32_t depth;
+    };
+
     void sizeBuckets(std::size_t cap);
     void growColumns(std::size_t need);
 
     ShardMem *mem_ = nullptr;
     std::uint64_t *hashes_ = nullptr;
     std::uint64_t *verifies_ = nullptr;
-    std::uint32_t *parents_ = nullptr;
+    Crumb *crumbs_ = nullptr;
     std::uint16_t *rules_ = nullptr;
     std::uint32_t *buckets_ = nullptr;
-    /** Depth-chunk spine; fully reserved, so push_back never moves
-     * the chunk pointers lock-free readers are walking. */
-    std::vector<std::atomic<std::uint32_t> *> depths_;
     std::uint64_t mask_ = 0;
     std::uint32_t count_ = 0;
     std::size_t entryCap_ = 0;

@@ -156,7 +156,7 @@ openBackingFile(const std::string &dir, const char *tag)
 /**
  * File-backed backend: every flat region and the chunk/arena pools
  * get their own backing file, grown with ftruncate and (flats)
- * remapped in place with mremap.  See store_mem.hh for the drop /
+ * mapped afresh at the new size.  See store_mem.hh for the drop /
  * recover / go-cold scheme.
  */
 class MmapShardMem final : public ShardMem
@@ -195,13 +195,17 @@ class MmapShardMem final : public ShardMem
             f.fd = openBackingFile(dir_, "cxl-store-flat");
         if (::ftruncate(f.fd, static_cast<off_t>(cap)) != 0)
             throwErrno("ftruncate (flat column)");
-        void *p =
-            f.p == nullptr
-                ? ::mmap(nullptr, cap, PROT_READ | PROT_WRITE,
-                         MAP_SHARED, f.fd, 0)
-                : ::mremap(f.p, f.cap, cap, MREMAP_MAYMOVE);
+        // Map the grown file afresh, then unmap the old view: the bytes
+        // live in the file, so nothing is copied.  (An mremap move is
+        // invisible to ThreadSanitizer, which then reports whichever
+        // shard next maps the vacated range as racing with the old
+        // occupant's readers.)
+        void *p = ::mmap(nullptr, cap, PROT_READ | PROT_WRITE,
+                         MAP_SHARED, f.fd, 0);
         if (p == MAP_FAILED)
             throwErrno("map (flat column)");
+        if (f.p)
+            ::munmap(f.p, f.cap);
         bumpMapped(cap - f.cap);
         bumpFile(cap - f.cap);
         f.p = p;

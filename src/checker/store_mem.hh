@@ -13,17 +13,17 @@
  *    probe bucket array).  Growing may move the base, so callers
  *    re-read the returned pointer; flats are only touched under the
  *    shard lock (or quiescent), matching that contract.
- *  - chunks: fixed-size allocations whose address never moves (the
- *    chunked atomic depth column and the compact-mode state-offset
- *    column), so lock-free readers can walk them while peers insert.
+ *  - chunks: fixed-size allocations whose address never moves; they
+ *    serve only the compact-mode state-offset column, which
+ *    workers read lock-free for frontier entries while peers insert.
  *  - blocks: fixed-size, index-addressed arena blocks that can be
  *    dropped (sealLevel) and — on backends with a backing file —
  *    recovered later, because the bytes persist in the file.
  *
  * The Mmap backend gives every shard its own anonymous backing files
  * (memfd, or O_TMPFILE/unlinked files under an explicit directory for
- * true spill-to-disk), grown with ftruncate and remapped with
- * mremap.  Dropping a sealed block munmaps it — address space and
+ * true spill-to-disk), grown with ftruncate and mapped afresh at the
+ * new size.  Dropping a sealed block munmaps it — address space and
  * residency shrink, the file keeps the bytes — after advising the
  * kernel the pages have gone cold, so a bounded mapped window walks
  * the (unbounded) file as BFS levels seal.  That is what lets a
@@ -61,7 +61,7 @@ class ShardMem
     enum FlatId : unsigned {
         kFlatHashes = 0,
         kFlatVerifies,
-        kFlatParents,
+        kFlatParents, ///< {parent, depth} pairs
         kFlatRules,
         kFlatBuckets,
         kFlatCount,

@@ -209,7 +209,7 @@ RuleSet::successorsInto(const SystemState &state,
         const Rule &rule = rules_[id];
         if (!rule.guard(state, ctx))
             return true;
-        Successor &succ = out.emplace_back(Successor{&rule, state, false});
+        Successor &succ = out.emplace_back(&rule, state, false);
         succ.overflow = !rule.apply(succ.state, ctx);
         if (canonicalise)
             succ.state.canonicaliseTids();
@@ -235,8 +235,7 @@ RuleSet::successorsPor(const SystemState &state,
             slept.push_back(rule.id);
             return true;
         }
-        Successor &succ =
-            out.emplace_back(Successor{&rule, state, false});
+        Successor &succ = out.emplace_back(&rule, state, false);
         succ.overflow = !rule.apply(succ.state, ctx);
         if (canonicalise)
             succ.state.canonicaliseTids();

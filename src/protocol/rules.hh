@@ -88,6 +88,12 @@ class RuleSet
   public:
     /** Successor state produced by firing one rule. */
     struct Successor {
+        /** Lets successorsInto build each entry in place. */
+        Successor(const Rule *r, const SystemState &s, bool o)
+            : rule(r), state(s), overflow(o)
+        {
+        }
+
         const Rule *rule;
         SystemState state;
         bool overflow;

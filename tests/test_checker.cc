@@ -72,7 +72,9 @@ TEST(StateStore, PackedIdsRoundTripAcrossShards)
     }
     bool multiple_shards = false;
     for (const auto &[idx, s] : inserted) {
-        EXPECT_TRUE(store.stateAt(idx) == s);
+        SystemState stored;
+        store.stateInto(idx, stored);
+        EXPECT_TRUE(stored == s);
         if (StateStore::shardOf(idx) != StateStore::shardOf(inserted[0].first))
             multiple_shards = true;
     }
@@ -150,9 +152,53 @@ TEST(StateStore, BatchInsertMatchesSequentialInserts)
     EXPECT_EQ(batched.size(), 100u);
     EXPECT_EQ(batched.size(), sequential.size());
     for (int i = 0; i < 300; ++i) {
-        EXPECT_TRUE(batched.stateAt(items[i].id) == items[i].state);
+        SystemState stored;
+        batched.stateInto(items[i].id, stored);
+        EXPECT_TRUE(stored == items[i].state);
         EXPECT_EQ(batched.depthAt(items[i].id), 7u);
     }
+}
+
+TEST(StateStore, DepthSurvivesColumnGrowthAndReserve)
+{
+    // The depth column is a flat array grown with the other entry
+    // columns: every depth must read back after the columns have
+    // doubled several times, after reserveStates re-sizes them, and
+    // for entries appended after the reserve.
+    StateStore store(16);
+    auto depthOf = [](int i) {
+        return static_cast<std::uint32_t>(i) * 7u + 3u;
+    };
+    auto stateOf = [](int i) {
+        SystemState s;
+        s.counter = static_cast<std::uint8_t>(i & 0xff);
+        s.dev[0].val = static_cast<Val>((i >> 8) & 0xff);
+        s.dev[1].val = static_cast<Val>(i >> 16);
+        return s;
+    };
+    std::vector<std::uint32_t> ids;
+    // 40,000 entries: ~2,500 per shard, past the 1,024-entry first
+    // column allocation.
+    for (int i = 0; i < 40000; ++i) {
+        auto [id, fresh] = store.insert(stateOf(i), StateStore::kNoParent,
+                                        0, depthOf(i));
+        ASSERT_TRUE(fresh) << i;
+        ids.push_back(id);
+    }
+    for (int i = 0; i < 40000; ++i)
+        ASSERT_EQ(store.depthAt(ids[i]), depthOf(i)) << i;
+
+    store.reserveStates(400000);
+    for (int i = 0; i < 40000; ++i)
+        ASSERT_EQ(store.depthAt(ids[i]), depthOf(i)) << i;
+    for (int i = 40000; i < 50000; ++i) {
+        auto [id, fresh] = store.insert(stateOf(i), StateStore::kNoParent,
+                                        0, depthOf(i));
+        ASSERT_TRUE(fresh) << i;
+        ids.push_back(id);
+    }
+    for (int i = 0; i < 50000; ++i)
+        ASSERT_EQ(store.depthAt(ids[i]), depthOf(i)) << i;
 }
 
 TEST(StateStore, GrowsPastInitialCapacity)

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -305,6 +307,141 @@ TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
         EXPECT_FALSE(dup_b) << k.name;
         EXPECT_EQ(ia2, ia) << k.name;
         EXPECT_EQ(ib2, ib) << k.name;
+    }
+}
+
+/** Busy @p ndev-device state: every active device has traffic, and
+ * the inactive slots hold junk the store must not keep. */
+SystemState
+busyState(int ndev, int i)
+{
+    SystemState s = initialBothShared(static_cast<Val>(i & 3), ndev);
+    s.counter = static_cast<std::uint8_t>(i);
+    for (int d = 0; d < ndev; ++d) {
+        s.dev[d].pc = static_cast<std::uint8_t>(i + d);
+        s.dev[d].d2hReq.pushBack(
+            {D2HReqOp::RdOwn, static_cast<Tid>((i + d) & 3)});
+        s.dev[d].h2dData.pushBack({1, static_cast<Val>(d + 1), 1});
+    }
+    for (int d = ndev; d < kMaxDevices; ++d) {
+        s.dev[d].val = 7;
+        s.dev[d].pc = 9;
+    }
+    return s;
+}
+
+TEST(StoreBackend, StateIntoRoundTripsEveryDeviceCountOnEveryKind)
+{
+    const DeviceState inactive{};
+    for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
+        for (const Kind &k : kKinds) {
+            const std::string what =
+                std::string(k.name) + " ndev=" + std::to_string(ndev);
+            StateStore store(configOf(k));
+            std::vector<std::uint32_t> ids;
+            for (int i = 0; i < 64; ++i) {
+                auto [id, fresh] = store.insert(
+                    busyState(ndev, i), StateStore::kNoParent, 0, 0);
+                ASSERT_TRUE(fresh) << what << " i=" << i;
+                ids.push_back(id);
+            }
+            for (int i = 0; i < 64; ++i) {
+                const SystemState want = busyState(ndev, i);
+                SystemState got = busyState(kMaxDevices, 99);
+                store.stateInto(ids[static_cast<std::size_t>(i)], got);
+                EXPECT_TRUE(got == want) << what << " i=" << i;
+                EXPECT_EQ(0, std::memcmp(&got, &want,
+                                         want.activeBytes()))
+                    << what << " i=" << i;
+                for (int d = ndev; d < kMaxDevices; ++d) {
+                    EXPECT_TRUE(got.dev[d] == inactive)
+                        << what << " i=" << i << " slot " << d;
+                }
+            }
+        }
+    }
+}
+
+TEST(StoreBackend, FullKindsRejectAMismatchedDeviceCount)
+{
+    // Full-mode slots are active-prefix sized, so the first insert
+    // fixes the store's device count; compact cells are
+    // self-delimiting and accept any.
+    for (const Kind &k : kKinds) {
+        StateStore store(configOf(k));
+        store.insert(busyState(2, 0), StateStore::kNoParent, 0, 0);
+        if (k.mode == StoreMode::Compact) {
+            EXPECT_NO_THROW(store.insert(busyState(3, 0),
+                                         StateStore::kNoParent, 0, 0))
+                << k.name;
+            continue;
+        }
+        EXPECT_THROW(
+            store.insert(busyState(3, 0), StateStore::kNoParent, 0, 0),
+            std::invalid_argument)
+            << k.name;
+        // A batch holding one bad item inserts nothing.
+        std::vector<StateStore::BatchItem> items(3);
+        for (int i = 0; i < 3; ++i) {
+            items[i].state = busyState(i == 2 ? 4 : 2, i + 1);
+            items[i].hash = items[i].state.hash();
+        }
+        EXPECT_THROW(store.insertBatch(items.data(), items.size()),
+                     std::invalid_argument)
+            << k.name;
+        EXPECT_EQ(store.size(), 1u) << k.name;
+        // The store stays usable at its own device count.
+        EXPECT_TRUE(store
+                        .insert(busyState(2, 1), StateStore::kNoParent,
+                                0, 0)
+                        .second)
+            << k.name;
+    }
+}
+
+TEST(StoreBackend, BatchAcrossBucketGrowthMatchesSequentialInserts)
+{
+    // One shard-0 batch of 3,000 items (1,000 distinct states, each
+    // three times): the shard's 64 buckets double six times and its
+    // columns grow past 1,024 entries in mid-batch.  Ids, inserted
+    // flags, bytes and breadcrumbs must equal a sequence of single
+    // inserts.
+    const int distinct = 1000;
+    for (const Kind &k : kKinds) {
+        StateStore batched(configOf(k));
+        StateStore sequential(configOf(k));
+        std::vector<StateStore::BatchItem> items(3 * distinct);
+        for (int i = 0; i < 3 * distinct; ++i) {
+            const int s = (i * 7) % distinct; // duplicates interleave
+            StateStore::BatchItem &item =
+                items[static_cast<std::size_t>(i)];
+            item.state = probeState(s);
+            item.hash = shardZeroHash(s);
+            item.parent = StateStore::kNoParent;
+            item.depth = static_cast<std::uint32_t>(i);
+            item.rule = static_cast<std::uint16_t>(i & 0x3f);
+        }
+        batched.insertBatch(items.data(), items.size());
+        for (const StateStore::BatchItem &item : items) {
+            auto [id, fresh] =
+                sequential.insert(item.state, item.hash, item.parent,
+                                  item.rule, item.depth);
+            EXPECT_EQ(item.id, id) << k.name;
+            EXPECT_EQ(item.inserted, fresh) << k.name;
+        }
+        EXPECT_EQ(batched.size(), static_cast<std::size_t>(distinct))
+            << k.name;
+        for (const StateStore::BatchItem &item : items) {
+            SystemState got;
+            batched.stateInto(item.id, got);
+            EXPECT_TRUE(got == item.state) << k.name;
+            EXPECT_EQ(batched.depthAt(item.id),
+                      sequential.depthAt(item.id))
+                << k.name;
+            EXPECT_EQ(batched.ruleAt(item.id),
+                      sequential.ruleAt(item.id))
+                << k.name;
+        }
     }
 }
 

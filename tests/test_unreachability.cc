@@ -37,7 +37,8 @@ reachable(const RuleSet &rules, const Scenario &scenario,
     while (!frontier.empty()) {
         std::uint32_t idx = frontier.front();
         frontier.pop_front();
-        const SystemState &state = store.stateAt(idx);
+        SystemState state;
+        store.stateInto(idx, state);
         for (auto &succ : rules.successors(state, scenario, true)) {
             if (predicate(succ.state))
                 return true;
