@@ -219,8 +219,9 @@ BENCHMARK(BM_StateStoreInsert);
 void
 BM_StateStoreInsertCompact(benchmark::State &state)
 {
-    // The same insertion stream through the hash-compacted store:
-    // fingerprints are computed and stored instead of state bytes.
+    // The same insertion stream through the hash-compacted
+    // (mmap-compact) store: fingerprints are computed and stored
+    // instead of state bytes, cells go to file-backed blocks.
     const std::vector<SystemState> batch = insertBatch(0);
     std::optional<StateStore> store;
     for (auto _ : state) {

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <sstream>
 
 #include "api/check.hh"
@@ -25,8 +26,11 @@
 
 using namespace cxl;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     api::StandardOptions opts =
@@ -65,10 +69,7 @@ main(int argc, char **argv)
         (symmetry_on ? " (device-permutation symmetry reduction on)"
                      : "") +
         (storeKindCompact(opts.engine.store)
-             ? " (hash-compacted store)"
-             : "") +
-        (storeKindMmap(opts.engine.store)
-             ? " (mmap out-of-core store)"
+             ? " (hash-compacted mmap out-of-core store)"
              : ""));
 
     struct Case {
@@ -136,10 +137,9 @@ main(int argc, char **argv)
         const bool capped =
             res.verdict == CheckResult::Verdict::Incomplete;
         const bool requested_stop =
-            opts.userCapped || opts.userBudgeted ||
-            res.stopReason == StopReason::Cancelled;
-        bool ok = res.holds() || (capped && requested_stop);
-        all_ok &= ok;
+            capped &&
+            api::requestedStop(opts, stopReasonWord(res.stopReason));
+        all_ok &= res.holds() || requested_stop;
         char time_txt[32], rate_txt[32];
         std::snprintf(time_txt, sizeof(time_txt), "%.3f", res.seconds);
         std::snprintf(rate_txt, sizeof(rate_txt), "%.0f",
@@ -154,14 +154,14 @@ main(int argc, char **argv)
                       std::to_string(res.diameter), time_txt, rate_txt,
                       res.violation ? res.violation->describe()
                       : !capped     ? "HOLDS everywhere"
-                      : requested_stop
-                          ? std::string("holds (stopped: ") +
-                                stopReasonPhrase(
-                                    res.stopReason == StopReason::None
-                                        ? StopReason::StateCap
-                                        : res.stopReason) +
-                                ")"
-                          : "INCOMPLETE (built-in cap)"});
+                      : std::string(requested_stop
+                                        ? "holds (stopped: "
+                                        : "INCOMPLETE (stopped: ") +
+                            stopReasonPhrase(
+                                res.stopReason == StopReason::None
+                                    ? StopReason::StateCap
+                                    : res.stopReason) +
+                            ")"});
 
         total_states += res.states;
         total_transitions += res.transitions;
@@ -190,20 +190,24 @@ main(int argc, char **argv)
         req.engine = alt;
         CheckResult res = session.run(req);
         noteStoreBytes(res);
+        const std::string stopped =
+            std::string("stopped by ") +
+            stopReasonPhrase(res.stopReason == StopReason::None
+                                 ? StopReason::StateCap
+                                 : res.stopReason);
         std::printf("\n%s device-permutation symmetry reduction "
                     "(default config): %llu states (%s)\n",
                     res.symmetryReduction ? "with" : "without",
                     static_cast<unsigned long long>(res.states),
                     res.violation ? "UNEXPECTED violation"
-                    : !res.completed
-                        ? "maxStates cap hit"
+                    : !res.completed ? stopped.c_str()
                     : res.symmetryReduction
                         ? "invariant holds on every orbit"
                         : "invariant holds everywhere");
         all_ok &= !res.violation &&
-                  (res.completed || opts.userCapped ||
-                   opts.userBudgeted ||
-                   res.stopReason == StopReason::Cancelled);
+                  (res.completed ||
+                   api::requestedStop(opts,
+                                      stopReasonWord(res.stopReason)));
     }
 
     std::printf(
@@ -312,7 +316,7 @@ main(int argc, char **argv)
                 storeKindCompact(opts.engine.store)
                     ? " [hash-compacted]"
                     : "");
-    if (storeKindMmap(opts.engine.store)) {
+    if (storeKindCompact(opts.engine.store)) {
         std::printf("mmap store high-water: %.1f MB mapped at once, "
                     "%.1f MB of backing file\n",
                     static_cast<double>(max_mapped_bytes) /
@@ -357,4 +361,20 @@ main(int argc, char **argv)
     std::printf("\nSWMR theorem: %s\n",
                 all_ok ? "HOLDS in every configuration" : "FAILED");
     return all_ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Anything a run can throw (a backing file that cannot be
+    // created, memory exhausted outside a worker) is an error exit,
+    // not an abort.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "swmr_statespace: %s\n", e.what());
+        return 2;
+    }
 }

@@ -57,17 +57,15 @@ namespace
 
 /**
  * True when an Incomplete verdict is the outcome the user signed up
- * for: an explicit --max-states cap, a wall-clock/memory budget, or
- * their own Ctrl-C.  Such runs report the explored prefix and exit 0.
+ * for (see api::requestedStop).  Such runs report the explored prefix
+ * and exit 0.
  */
 bool
 requestedStop(const cxl::api::StandardOptions &opts,
               const CheckResult &res)
 {
-    if (res.verdict != CheckResult::Verdict::Incomplete)
-        return false;
-    return opts.userCapped || opts.userBudgeted ||
-           res.stopReason == StopReason::Cancelled;
+    return res.verdict == CheckResult::Verdict::Incomplete &&
+           cxl::api::requestedStop(opts, stopReasonWord(res.stopReason));
 }
 
 /** True when @p res is what the registry entry promises. */
@@ -89,10 +87,8 @@ bool
 remoteRequestedStop(const cxl::api::StandardOptions &opts,
                     const JsonValue &res)
 {
-    if (res.getStr("verdict") != "incomplete")
-        return false;
-    return opts.userCapped || opts.userBudgeted ||
-           res.getStr("stop_reason") == "cancelled";
+    return res.getStr("verdict") == "incomplete" &&
+           cxl::api::requestedStop(opts, res.getStr("stop_reason"));
 }
 
 /** asExpected over a served result's parsed JSON. */
@@ -173,10 +169,8 @@ printModelCacheStats(const CheckSession &session)
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     api::corpusOption(args);
@@ -329,4 +323,20 @@ main(int argc, char **argv)
                     ok ? "reached" : "NOT REACHED");
     }
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Anything a run can throw (a backing file that cannot be
+    // created, memory exhausted outside a worker) is an error exit,
+    // not an abort.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "cxl_check: %s\n", e.what());
+        return 2;
+    }
 }

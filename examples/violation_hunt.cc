@@ -13,9 +13,9 @@
  *                              one_snoop] [--families swmr,...]
  *                  [--devices N]   (model size, default 2)
  *                  [--threads N]   (0 = all hardware threads)
- *                  [--compact]     (hash-compacted store: hunts far
- *                                   larger spaces in RAM, reports the
- *                                   verdict + bad state but no trace)
+ *                  [--compact]     (the mmap-compact store: hunts far
+ *                                   larger spaces in less memory,
+ *                                   with the same full trace)
  */
 
 #include <cstdio>
@@ -85,8 +85,6 @@ main(int argc, char **argv)
     std::printf("VIOLATION after %llu states: %s\n",
                 static_cast<unsigned long long>(res.states),
                 res.violation->describe().c_str());
-    if (!res.violation->traceNote.empty())
-        std::printf("(%s)\n", res.violation->traceNote.c_str());
     if (res.violation->trace.size() > 1) {
         std::printf("\nwitness trace (shortest, by BFS):\n%s\n",
                     renderTraceTable(res.violation->trace,

@@ -60,10 +60,6 @@ storeKindFromWord(const std::string &word)
 {
     if (word == "ram")
         return StoreKind::InRam;
-    if (word == "ram-compact")
-        return StoreKind::InRamCompact;
-    if (word == "mmap")
-        return StoreKind::Mmap;
     if (word == "mmap-compact")
         return StoreKind::MmapCompact;
     return std::nullopt;
@@ -133,12 +129,8 @@ CheckResult::renderText(bool withTrace) const
                   "engine: %zu thread(s), symmetry %s, %s store, "
                   "por %s, bfs schedule\n",
                   threads, symmetryReduction ? "on" : "off",
-                  storeKindWord(
-                      mmapStore
-                          ? (compaction ? StoreKind::MmapCompact
-                                        : StoreKind::Mmap)
-                          : (compaction ? StoreKind::InRamCompact
-                                        : StoreKind::InRam)),
+                  storeKindWord(compaction ? StoreKind::MmapCompact
+                                           : StoreKind::InRam),
                   por ? "on" : "off");
     out += line;
     std::snprintf(
@@ -202,8 +194,6 @@ CheckResult::renderText(bool withTrace) const
 
     out += "verdict: " + verdictText() + "\n";
 
-    if (violation && !violation->traceNote.empty())
-        out += "(" + violation->traceNote + ")\n";
     if (withTrace && violation && violation->trace.size() > 1) {
         out += "\nwitness trace (shortest, by BFS):\n";
         out += renderTraceTable(violation->trace, scenarioSpec,
@@ -219,11 +209,7 @@ CheckResult::renderJson(bool deterministic) const
 {
     // Deterministic mode zeroes the wall-clock/allocator keys — and
     // nothing else — so the key set and order stay schema-stable.
-    // The store *backend* is deliberately not a key: verdicts and
-    // counts are backend-independent, the serve cache collapses ram
-    // and mmap spellings onto one entry, and a cached in-RAM result
-    // must stay byte-identical to an offline mmap run (only the
-    // compact bit, which seals semantics, is echoed).
+    // The store kind is echoed as its compact bit.
     const double secs = deterministic ? 0.0 : seconds;
     JsonObject json;
     json.str("schema", "cxl-check-result/v1")
@@ -434,9 +420,6 @@ CheckSession::run(const CheckRequest &request)
         opt.maxStates = engine.maxStates;
     opt.expectedStates = engine.expectedStates;
     opt.compaction = storeKindCompact(engine.store);
-    opt.storeBackend = storeKindMmap(engine.store)
-                           ? StoreBackend::Mmap
-                           : StoreBackend::InRam;
     opt.storeDir = engine.storeDir;
     opt.por = engine.por;
     opt.symmetryReduction =
@@ -468,7 +451,6 @@ CheckSession::run(const CheckRequest &request)
     out.threads = resolvedThreads(engine.threads);
     out.symmetryReduction = opt.symmetryReduction;
     out.compaction = opt.compaction;
-    out.mmapStore = storeKindMmap(engine.store);
     out.por = opt.por;
     out.maxStates = opt.maxStates;
     out.states = res.numStates;

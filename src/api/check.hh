@@ -64,59 +64,39 @@ enum class SymmetryMode : std::uint8_t {
 };
 
 /**
- * Visited-state store kind (`--store=ram|ram-compact|mmap|mmap-compact`):
- * the cross product of the storage mode (full states vs Murphi hash
- * compaction; see ExploreOptions::compaction) and the memory backend
- * (heap vs per-shard file-backed mappings whose sealed BFS levels are
- * unmapped — the out-of-core mode; see StoreBackend).  The backend
- * never changes verdicts, counts or diameters; the serve layer's
- * cache key keeps only the compact bit.  `--compact` upgrades
- * whichever backend is selected to its compact kind.
+ * Visited-state store kind (`--store=ram|mmap-compact`), each one
+ * storage mode on its one memory backend (see
+ * ExploreOptions::compaction): `ram` keeps full states on the heap
+ * (exact, fastest at one thread); `mmap-compact` keeps Murphi hash
+ * compaction fingerprints and unmaps sealed BFS levels from per-shard
+ * backing files (least memory, full traces).  `--compact` is the
+ * short spelling of `--store mmap-compact`.
  */
 enum class StoreKind : std::uint8_t {
-    InRam,         ///< heap, full states (the classic default)
-    InRamCompact,  ///< heap, hash compaction
-    Mmap,          ///< file-backed, full states, out-of-core sealing
-    MmapCompact,   ///< file-backed, hash compaction
+    InRam,       ///< heap, full states (the classic default)
+    MmapCompact, ///< file-backed, hash compaction
 };
 
 /** Whether a store kind uses hash compaction. */
 constexpr bool
 storeKindCompact(StoreKind k)
 {
-    return k == StoreKind::InRamCompact || k == StoreKind::MmapCompact;
+    return k == StoreKind::MmapCompact;
 }
 
-/** Whether a store kind uses the file-backed (mmap) backend. */
+/** Whether a store kind uses the file-backed (mmap) backend; the same
+ * kinds as storeKindCompact. */
 constexpr bool
 storeKindMmap(StoreKind k)
 {
-    return k == StoreKind::Mmap || k == StoreKind::MmapCompact;
-}
-
-/** The compact variant of @p k's backend (what `--compact` selects). */
-constexpr StoreKind
-storeKindCompacted(StoreKind k)
-{
-    return storeKindMmap(k) ? StoreKind::MmapCompact
-                            : StoreKind::InRamCompact;
+    return k == StoreKind::MmapCompact;
 }
 
 /** Canonical flag spelling of a store kind. */
 constexpr const char *
 storeKindWord(StoreKind k)
 {
-    switch (k) {
-    case StoreKind::InRam:
-        return "ram";
-    case StoreKind::InRamCompact:
-        return "ram-compact";
-    case StoreKind::Mmap:
-        return "mmap";
-    case StoreKind::MmapCompact:
-        return "mmap-compact";
-    }
-    return "ram";
+    return k == StoreKind::MmapCompact ? "mmap-compact" : "ram";
 }
 
 /** Parse a `--store` word; nullopt on an unknown spelling. */
@@ -131,7 +111,7 @@ struct EngineOptions {
     SymmetryMode symmetry = SymmetryMode::Auto;
     StoreKind store = StoreKind::InRam;
 
-    /** Mmap store kinds: directory for the backing files
+    /** mmap-compact: directory for the backing files
      * (`--store-dir`; "" = anonymous in-memory files). */
     std::string storeDir;
 
@@ -165,8 +145,8 @@ struct EngineOptions {
 
     /** Process anonymous-RSS ceiling in bytes (`--max-rss-mb`;
      * 0 = none); crossing it ends the run as Incomplete with
-     * stopReason Memory.  File-backed pages (the mmap store kinds'
-     * mappings) are excluded so out-of-core runs are not tripped
+     * stopReason Memory.  File-backed pages (the mmap-compact
+     * store's mappings) are excluded so out-of-core runs are not tripped
      * for bytes the kernel can drop at will. */
     std::uint64_t maxRssBytes = 0;
 
@@ -259,8 +239,7 @@ struct CheckResult {
     // ---- engine echo (resolved) --------------------------------------
     std::size_t threads = 0;  ///< resolved worker count (never 0)
     bool symmetryReduction = false;
-    bool compaction = false;
-    bool mmapStore = false;   ///< file-backed (out-of-core) store
+    bool compaction = false;  ///< the mmap-compact store
     bool por = false;
     std::uint64_t maxStates = 0;
 

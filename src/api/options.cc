@@ -23,6 +23,16 @@ corpusOption(const CliArgs &args)
     }
 }
 
+bool
+requestedStop(const StandardOptions &opts, const std::string &reason)
+{
+    if (reason == stopReasonWord(StopReason::Cancelled))
+        return true;
+    if (reason == stopReasonWord(StopReason::Memory))
+        return opts.engine.maxRssBytes != 0;
+    return opts.userCapped || opts.userBudgeted;
+}
+
 StandardOptions
 standardOptions(const CliArgs &args, const char *defaultJsonPath)
 {
@@ -35,24 +45,23 @@ standardOptions(const CliArgs &args, const char *defaultJsonPath)
     else if (args.has("sym"))
         opt.engine.symmetry = SymmetryMode::On;
 
-    // --store picks the visited-set backend by name; --compact then
-    // upgrades whichever backend is selected to its hash-compacted
-    // variant (order-independent, so sweep scripts can append either
-    // flag as an override).
+    // --store picks the visited-set store by name; --compact is the
+    // short spelling of --store mmap-compact and wins over --store
+    // (order-independent, so sweep scripts can append it as an
+    // override).
     if (args.has("store")) {
         const std::string word = args.get("store", "");
         const std::optional<StoreKind> kind = storeKindFromWord(word);
         if (!kind) {
             std::fprintf(stderr,
-                         "--store '%s' unknown (want "
-                         "ram|ram-compact|mmap|mmap-compact)\n",
+                         "--store '%s' unknown (want ram|mmap-compact)\n",
                          word.c_str());
             std::exit(2);
         }
         opt.engine.store = *kind;
     }
     if (args.has("compact"))
-        opt.engine.store = storeKindCompacted(opt.engine.store);
+        opt.engine.store = StoreKind::MmapCompact;
     opt.engine.storeDir = args.get("store-dir", "");
 
     // Partial-order reduction is opt-in; --no-por wins when both

@@ -3,10 +3,9 @@
  * Shared command-line surface of the bench/example front-ends: one
  * helper resolves the flags every binary used to re-plumb by hand —
  * `--devices`, `--threads`, `--sym`/`--no-sym`,
- * `--store=ram|ram-compact|mmap|mmap-compact`, `--store-dir`,
- * `--compact` (upgrades the chosen backend to its compacted
- * variant), `--por`/`--no-por`, `--max-states`, `--expect-states`,
- * `--max-seconds`, `--max-rss-mb`, `--json` —
+ * `--store=ram|mmap-compact`, `--store-dir`, `--compact` (short for
+ * `--store=mmap-compact`), `--por`/`--no-por`, `--max-states`,
+ * `--expect-states`, `--max-seconds`, `--max-rss-mb`, `--json` —
  * into a device count plus the EngineOptions a CheckSession is
  * constructed with.  It also arms the process-wide SIGINT/SIGTERM →
  * CancelToken bridge, so every front-end gets graceful Ctrl-C for
@@ -50,6 +49,16 @@ struct StandardOptions {
     bool json = false;
     std::string jsonPath;
 };
+
+/**
+ * True when a run that ended Incomplete with stop reason @p reason
+ * (its stop_reason word) stopped as the user asked: their --max-states
+ * cap or --max-seconds/--max-rss-mb budget, or their own Ctrl-C.  A
+ * memory stop without --max-rss-mb is a failed allocation — the
+ * process ran out of memory — and never counts.
+ */
+bool requestedStop(const StandardOptions &opts,
+                   const std::string &reason);
 
 /**
  * Parse the standard flags from @p args.  Prints a diagnostic and

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <new>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -157,10 +158,6 @@ Explorer::rebuildTrace(const StateStore &store, std::uint32_t idx) const
     std::uint32_t cur = idx;
     while (cur != StateStore::kNoParent) {
         TraceStep step;
-        // stateInto works in both store modes; compact-mode callers
-        // are responsible for only rebuilding retained entries (the
-        // explorer calls this under compaction only when the backend
-        // retains everything — see StateStore::statesAlwaysReadable).
         store.stateInto(cur, step.state);
         const std::uint32_t parent = store.parentAt(cur);
         if (parent != StateStore::kNoParent)
@@ -209,7 +206,8 @@ Explorer::run(const ExploreOptions &options)
     StateStore store(StoreConfig{
         1 << 16,
         options.compaction ? StoreMode::Compact : StoreMode::Full,
-        options.storeBackend, options.storeDir,
+        options.compaction ? StoreBackend::Mmap : StoreBackend::InRam,
+        options.storeDir,
         options.storeCapacity});
     if (options.expectedStates != 0)
         store.reserveStates(options.expectedStates);
@@ -266,27 +264,8 @@ Explorer::run(const ExploreOptions &options)
         }
         v.stateIndex = c.idx;
         v.depth = c.depth;
-        if (c.kind == Violation::Kind::Overflow)
+        if (c.kind == Violation::Kind::Overflow) {
             v.overflowRule = rules_.rules()[c.edgeRule].name;
-        if (!store.statesAlwaysReadable()) {
-            // Breadcrumb states are not retained (in-RAM compact
-            // mode; an mmap-backed compact store keeps every sealed
-            // cell in its backing file and rebuilds the full path
-            // below).  The bad state itself is still in the arena
-            // when it was first discovered this level; show it alone.
-            v.traceNote =
-                "trace unavailable: hash-compaction mode stores "
-                "fingerprints, not states; re-run without compaction "
-                "(or with --store=mmap-compact) to rebuild the full "
-                "path";
-            if (store.depthAt(c.idx) == c.depth &&
-                store.stateRetained(c.idx)) {
-                TraceStep step;
-                step.ruleName = v.overflowRule;
-                store.stateInto(c.idx, step.state);
-                v.trace.push_back(std::move(step));
-            }
-        } else if (c.kind == Violation::Kind::Overflow) {
             // Overflow is an edge property: rebuild the path to the
             // edge's *source* and append the edge itself, so the
             // printed trace ends with the overflowing rule even when
@@ -564,6 +543,14 @@ Explorer::run(const ExploreOptions &options)
                 ws.batchMeta.clear();
                 ws.overflows.clear();
                 governor.trip(StopReason::ShardFull);
+            } catch (const std::bad_alloc &) {
+                // Out of memory or address space (the heap, or the
+                // mmap backend's mappings): a governed stop like the
+                // RSS ceiling, with the batch dropped as above.
+                ws.batch.clear();
+                ws.batchMeta.clear();
+                ws.overflows.clear();
+                governor.trip(StopReason::Memory);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(error_mutex);
                 if (!worker_error)
@@ -591,93 +578,101 @@ Explorer::run(const ExploreOptions &options)
         if (worker_error)
             std::rethrow_exception(worker_error);
 
-        // Depth barrier: merge per-worker scratch into the result.
-        next_frontier.clear();
-        std::optional<Candidate> best;
-        for (WorkerScratch &ws : scratch) {
-            result.numTransitions += ws.transitions;
-            ws.transitions = 0;
-            result.sleptTransitions += ws.slept;
-            ws.slept = 0;
-            for (std::size_t r = 0; r < ws.ruleFires.size(); ++r) {
-                result.ruleFireCounts[r] += ws.ruleFires[r];
-                ws.ruleFires[r] = 0;
-            }
-            for (std::size_t r = 0; r < ws.ruleSlept.size(); ++r) {
-                result.ruleSleptCounts[r] += ws.ruleSlept[r];
-                ws.ruleSlept[r] = 0;
-            }
-            next_frontier.insert(next_frontier.end(), ws.next.begin(),
-                                 ws.next.end());
-            ws.next.clear();
-            for (const Candidate &c : ws.candidates) {
-                ++result.violationCount;
-                if (!best || candidateLess(c, *best))
-                    best = c;
-            }
-            ws.candidates.clear();
-        }
-
-        if (best && !result.violation) {
-            record(*best); // store is quiescent at the barrier
-            if (options.stopAtFirstViolation)
-                violation_stopped = true;
-        }
-        if (governor.stopped())
-            governed_stop = true;
-        if (violation_stopped || governed_stop)
-            break;
-
-        if (options.por) {
-            // Resolve the next level's sleep masks from the edge
-            // logs: walk each worker's log (edges of one node are
-            // contiguous, in fired order), rebuild the accumulator
-            // (node sleep ∪ fired-so-far), and intersect each
-            // same-level edge's contribution into its target — a
-            // state inserted this level sleeps the intersection over
-            // every same-level edge into it (intersection is
-            // order-free, so the result is thread-count-independent).
-            // Edges into older states carry no information forward.
-            std::sort(next_frontier.begin(), next_frontier.end());
-            next_masks.assign(next_frontier.size(), all_rules_mask);
+        // The barrier allocates too (the next frontier, masks, the
+        // witness trace); running out of memory here is the same
+        // governed stop as in a worker.
+        try {
+            // Depth barrier: merge per-worker scratch into the result.
+            next_frontier.clear();
+            std::optional<Candidate> best;
             for (WorkerScratch &ws : scratch) {
-                std::size_t j = 0;
-                while (j < ws.maskEdges.size()) {
-                    const std::uint32_t node_pos =
-                        ws.maskEdges[j].nodePos;
-                    RuleMask acc = frontier_masks[node_pos];
-                    for (; j < ws.maskEdges.size() &&
-                           ws.maskEdges[j].nodePos == node_pos;
-                         ++j) {
-                        const MaskEdge &e = ws.maskEdges[j];
-                        if (store.depthAt(e.id) == depth + 1) {
-                            RuleMask m =
-                                acc & por->independentOf(e.rule);
-                            if (e.permKey !=
-                                    PorContext::kIdentityPermKey &&
-                                !m.none()) {
-                                m = por->remapByKey(m, e.permKey);
-                            }
-                            const auto it = std::lower_bound(
-                                next_frontier.begin(),
-                                next_frontier.end(), e.id);
-                            next_masks[static_cast<std::size_t>(
-                                it - next_frontier.begin())] &= m;
-                        }
-                        acc.set(e.rule);
-                    }
+                result.numTransitions += ws.transitions;
+                ws.transitions = 0;
+                result.sleptTransitions += ws.slept;
+                ws.slept = 0;
+                for (std::size_t r = 0; r < ws.ruleFires.size(); ++r) {
+                    result.ruleFireCounts[r] += ws.ruleFires[r];
+                    ws.ruleFires[r] = 0;
                 }
-                ws.maskEdges.clear();
+                for (std::size_t r = 0; r < ws.ruleSlept.size(); ++r) {
+                    result.ruleSleptCounts[r] += ws.ruleSlept[r];
+                    ws.ruleSlept[r] = 0;
+                }
+                next_frontier.insert(next_frontier.end(), ws.next.begin(),
+                                     ws.next.end());
+                ws.next.clear();
+                for (const Candidate &c : ws.candidates) {
+                    ++result.violationCount;
+                    if (!best || candidateLess(c, *best))
+                        best = c;
+                }
+                ws.candidates.clear();
             }
-        }
 
-        // Quiescent barrier hook: releases (in-RAM compact) or
-        // unmaps (mmap backends) the state bytes of the level whose
-        // expansion just finished.
-        store.sealLevel();
-        frontier.swap(next_frontier);
-        frontier_masks.swap(next_masks);
-        ++depth;
+            if (best && !result.violation) {
+                record(*best); // store is quiescent at the barrier
+                if (options.stopAtFirstViolation)
+                    violation_stopped = true;
+            }
+            if (governor.stopped())
+                governed_stop = true;
+            if (violation_stopped || governed_stop)
+                break;
+
+            if (options.por) {
+                // Resolve the next level's sleep masks from the edge
+                // logs: walk each worker's log (edges of one node are
+                // contiguous, in fired order), rebuild the accumulator
+                // (node sleep ∪ fired-so-far), and intersect each
+                // same-level edge's contribution into its target — a
+                // state inserted this level sleeps the intersection over
+                // every same-level edge into it (intersection is
+                // order-free, so the result is thread-count-independent).
+                // Edges into older states carry no information forward.
+                std::sort(next_frontier.begin(), next_frontier.end());
+                next_masks.assign(next_frontier.size(), all_rules_mask);
+                for (WorkerScratch &ws : scratch) {
+                    std::size_t j = 0;
+                    while (j < ws.maskEdges.size()) {
+                        const std::uint32_t node_pos =
+                            ws.maskEdges[j].nodePos;
+                        RuleMask acc = frontier_masks[node_pos];
+                        for (; j < ws.maskEdges.size() &&
+                               ws.maskEdges[j].nodePos == node_pos;
+                             ++j) {
+                            const MaskEdge &e = ws.maskEdges[j];
+                            if (store.depthAt(e.id) == depth + 1) {
+                                RuleMask m =
+                                    acc & por->independentOf(e.rule);
+                                if (e.permKey !=
+                                        PorContext::kIdentityPermKey &&
+                                    !m.none()) {
+                                    m = por->remapByKey(m, e.permKey);
+                                }
+                                const auto it = std::lower_bound(
+                                    next_frontier.begin(),
+                                    next_frontier.end(), e.id);
+                                next_masks[static_cast<std::size_t>(
+                                    it - next_frontier.begin())] &= m;
+                            }
+                            acc.set(e.rule);
+                        }
+                    }
+                    ws.maskEdges.clear();
+                }
+            }
+
+            // Quiescent barrier hook: unmaps (compact mode) the state
+            // bytes of the level whose expansion just finished.
+            store.sealLevel();
+            frontier.swap(next_frontier);
+            frontier_masks.swap(next_masks);
+            ++depth;
+        } catch (const std::bad_alloc &) {
+            governor.trip(StopReason::Memory);
+            governed_stop = true;
+            break;
+        }
     }
 
     result.numStates = store.size();

@@ -86,36 +86,24 @@ struct ExploreOptions {
     bool symmetryReduction = false;
 
     /**
-     * Hash-compaction (fingerprint-only) storage: the visited set
-     * keeps a second 64-bit verification fingerprint per state
-     * instead of the state bytes, and releases old BFS levels' state
-     * bytes as exploration advances — memory per state drops by
-     * roughly an order of magnitude, which is what makes the 4-device
-     * free-run space enumerable in RAM.  Counts and verdicts are
-     * exact up to fingerprint collisions (expected ~ n^2 / 2^65;
-     * detected probe-hash near-misses are reported via
-     * ExploreResult::probeCollisions).  Counterexample *traces*
-     * cannot be rebuilt in this mode: a violation is still found at
-     * the same minimal depth, but Violation::trace carries at most
-     * the final state and Violation::traceNote explains how to re-run
-     * for the full path.
+     * The visited-set store kind.  Off (`ram`): full states on the
+     * heap; exact deduplication.  On (`mmap-compact`): hash
+     * compaction on the file-backed backend — the visited set keeps a
+     * second 64-bit verification fingerprint per state instead of the
+     * state bytes, keeps the bytes zero-RLE-compressed in per-shard
+     * backing files and unmaps old BFS levels as exploration advances,
+     * so memory per state drops by roughly an order of magnitude,
+     * which is what makes the 4-device free-run space enumerable.
+     * Counts and verdicts are exact up to fingerprint collisions
+     * (expected ~ n^2 / 2^65; detected probe-hash near-misses are
+     * reported via ExploreResult::probeCollisions).  Counterexample
+     * traces are rebuilt in full either way: sealed cells persist in
+     * the backing file.
      */
     bool compaction = false;
 
-    /**
-     * Visited-set memory backend (see StoreBackend): InRam is the
-     * classic heap store; Mmap gives every shard file-backed growable
-     * mappings and unmaps sealed BFS levels, so the mapped window
-     * tracks the frontier while the backing files keep every byte
-     * (the out-of-core mode).
-     * Verdicts, counts and diameters are backend-independent; under
-     * Mmap counterexample traces are reconstructible even with
-     * compaction on (sealed cells persist in the backing file).
-     */
-    StoreBackend storeBackend = StoreBackend::InRam;
-
-    /** Mmap backend: backing-file directory ("" = anonymous
-     * in-memory files). */
+    /** Compaction: backing-file directory ("" = anonymous in-memory
+     * files). */
     std::string storeDir;
 
     /**
@@ -165,7 +153,7 @@ struct ExploreOptions {
      * Resident-set ceiling in bytes (0 = none), sampled from
      * /proc/self/statm by the governor at flush granularity.  The
      * ceiling is process-wide *anonymous* RSS — resident minus
-     * file-backed pages — so the mmap store backends' mappings
+     * file-backed pages — so the mmap-compact store's mappings
      * (which the kernel reclaims by writeback, not swap) do not
      * count against it.  Not per-run allocation, and the stop is
      * detected one sample stride after the crossing — treat it as a
@@ -252,17 +240,9 @@ struct Violation {
      * Rule-labelled path from the initial state to the bad state.
      * For overflow violations the trace follows the overflowing
      * edge's own parent and ends with that edge (see overflowRule),
-     * not the target state's breadcrumbs.  Empty or truncated when
-     * traceNote is set.
+     * not the target state's breadcrumbs.
      */
     std::vector<TraceStep> trace;
-
-    /**
-     * Non-empty when the trace could not be fully rebuilt (hash
-     * compaction releases breadcrumb states); explains what is shown
-     * and how to obtain the full path.
-     */
-    std::string traceNote;
 
     std::string describe() const;
 };

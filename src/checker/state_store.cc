@@ -8,8 +8,15 @@ namespace cxl
 {
 
 StateStore::StateStore(const StoreConfig &config)
-    : mode_(config.mode), backend_(config.backend)
+    : mode_(config.mode)
 {
+    if ((mode_ == StoreMode::Full) !=
+        (config.backend == StoreBackend::InRam)) {
+        throw std::invalid_argument(
+            "StateStore: full mode runs on the in-RAM backend and "
+            "compact mode on the mmap backend (store kinds ram and "
+            "mmap-compact)");
+    }
     // The per-shard ceiling from a total-state capacity: hashing
     // spreads entries near-uniformly, so the first shard to fill does
     // so at roughly capacity/kNumShards — close enough for a budget.
@@ -24,14 +31,10 @@ StateStore::StateStore(const StoreConfig &config)
         config.initialBuckets / kNumShards;
     for (Shard &shard : shards_) {
         shard.limit = limit;
-        shard.mem = makeShardMem(backend_, config.dir);
+        shard.mem = makeShardMem(config.backend, config.dir);
         shard.arena.init(shard.mem.get(), mode_, kOffsetMask);
-        // Fingerprints are the identity in compact mode; full-mode
-        // recoverable backends keep them too, to dedup against sealed
-        // (unmapped) entries without refaulting their blocks.
-        needsVerify_ = mode_ == StoreMode::Compact ||
-                       shard.arena.recoverable();
-        shard.cols.init(shard.mem.get(), needsVerify_,
+        // Fingerprints are the identity in compact mode.
+        shard.cols.init(shard.mem.get(), mode_ == StoreMode::Compact,
                         per_shard_buckets);
     }
 }
@@ -75,7 +78,7 @@ StateStore::insert(const SystemState &state, std::uint64_t hash,
         static_cast<std::uint32_t>(hash >> (64 - kShardBits));
     admitDevices(state);
     const std::uint64_t verify =
-        needsVerify_ ? state.fingerprint() : 0;
+        mode_ == StoreMode::Compact ? state.fingerprint() : 0;
     Shard &shard = shards_[shard_idx];
 
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -98,7 +101,7 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
     // encoding every duplicate up front.)
     for (std::size_t i = 0; i < count; ++i) {
         admitDevices(items[i].state);
-        if (needsVerify_)
+        if (mode_ == StoreMode::Compact)
             items[i].verify_ = items[i].state.fingerprint();
     }
 
@@ -156,21 +159,14 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
         const std::uint32_t off = bucket - 1;
         if (cols.hashAt(off) == hash) {
             // Identity: in compact mode the verification fingerprint,
-            // in full mode the state bytes (falling back to the
-            // fingerprint when the entry's block has been sealed cold
-            // — see the class comment).  A probe-hash match with an
-            // identity mismatch is a detected collision — the states
-            // stay distinct and the probe continues.
-            bool same;
-            if (mode_ == StoreMode::Compact) {
-                same = cols.verifyAt(off) == verify;
-            } else if (const std::byte *stored =
-                           shard.arena.fullIfMapped(off)) {
-                same = std::memcmp(stored, &state,
-                                   shard.arena.fullStride()) == 0;
-            } else {
-                same = cols.verifyAt(off) == verify;
-            }
+            // in full mode the state bytes.  A probe-hash match with
+            // an identity mismatch is a detected collision — the
+            // states stay distinct and the probe continues.
+            const bool same =
+                mode_ == StoreMode::Compact
+                    ? cols.verifyAt(off) == verify
+                    : std::memcmp(shard.arena.fullSlot(off), &state,
+                                  shard.arena.fullStride()) == 0;
             if (same)
                 return {(shard_idx << kOffsetBits) | off, false};
             cols.bumpCollisions();
@@ -188,10 +184,10 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                 " full (per-shard limit " +
                 std::to_string(shard.limit) +
                 " entries); pre-size with --expect-states, raise the "
-                "run's state budget, or pick another store kind "
-                "(--store=ram|ram-compact|mmap|mmap-compact: compact "
-                "kinds cut bytes/state ~10x, mmap kinds page sealed "
-                "levels out of core)");
+                "run's state budget, or pick the other store kind "
+                "(--store=ram|mmap-compact: mmap-compact cuts "
+                "bytes/state ~10x and pages sealed levels out of "
+                "core)");
     }
 
     const std::uint32_t off =
@@ -209,9 +205,11 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
 void
 StateStore::sealLevel()
 {
+    if (mode_ == StoreMode::Full)
+        return; // full-mode slots are never released
     for (Shard &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.arena.seal(shard.cols.count());
+        shard.arena.seal();
     }
 }
 

@@ -18,37 +18,33 @@
  *  - StateArena (store_arena.hh): the state bytes, as full-mode
  *    slots at the active-prefix stride or zero-RLE compact cells,
  *    with the sealLevel() block-release machinery.
- *  - ShardMem (store_mem.hh): where both layers get memory.  InRam
- *    is the classic heap layout; Mmap gives every shard file-backed
- *    growable mappings (anonymous memfd, or files under an explicit
- *    directory) so sealed BFS levels can be unmapped — address space
- *    and residency track the frontier window, the backing file keeps
- *    every byte, and dropped blocks are remapped on demand.
+ *  - ShardMem (store_mem.hh): where both layers get memory: the heap
+ *    (InRam) or per-shard file-backed growable mappings (Mmap;
+ *    anonymous memfd, or files under an explicit directory).
  *
- * Two storage modes (StoreMode, declared with the arena):
+ * Two store kinds, each one storage mode (StoreMode, declared with
+ * the arena) on its one backend:
  *
- *  - Full: the classic Murphi layout.  States are kept verbatim, so
- *    deduplication is exact and counterexample traces can be rebuilt
- *    from the breadcrumbs.  Only the active prefix is stored
- *    (SystemState::activeBytes()), so one full-mode store holds
- *    states of one device count: the first insert fixes it and a
- *    state with another ndev throws std::invalid_argument.  (On the
- *    Mmap backend, entries whose blocks have been sealed cold are
- *    deduplicated by their stored 64-bit verification fingerprint
- *    instead of refaulting the block — detected-collision semantics
- *    identical to compact mode for exactly those entries; the mapped
- *    window still compares bytes.)
- *  - Compact: Murphi hash compaction.  Only a second 64-bit
- *    verification fingerprint is kept per entry; the frontier's state
- *    bytes live zero-RLE-compressed in a transient byte arena whose
- *    old BFS levels are released (sealLevel), cutting memory per
- *    state by roughly an order of magnitude.  A probe-hash collision
- *    is *detected* by the fingerprint mismatch (counted in
+ *  - Full on InRam (`ram`): the classic Murphi layout.  States are
+ *    kept verbatim, so deduplication is exact and counterexample
+ *    traces can be rebuilt from the breadcrumbs.  Only the active
+ *    prefix is stored (SystemState::activeBytes()), so one full-mode
+ *    store holds states of one device count: the first insert fixes
+ *    it and a state with another ndev throws std::invalid_argument.
+ *  - Compact on Mmap (`mmap-compact`): Murphi hash compaction.  Only
+ *    a second 64-bit verification fingerprint is kept per entry; the
+ *    state bytes live zero-RLE-compressed in a byte arena whose old
+ *    BFS levels are unmapped at each sealLevel, so address space and
+ *    residency track the frontier window while the backing file keeps
+ *    every cell — memory per state drops by roughly an order of
+ *    magnitude and traces can still be rebuilt.  A probe-hash
+ *    collision is *detected* by the fingerprint mismatch (counted in
  *    probeCollisions()) and the states stay distinct; an undetected
  *    merge requires both 64-bit values to collide — expected
- *    occurrences ~ n^2 / 2^65 for n states.  Traces cannot be
- *    rebuilt in this mode on the InRam backend; on Mmap the sealed
- *    cells persist in the backing file, so they can.
+ *    occurrences ~ n^2 / 2^65 for n states.
+ *
+ * The other two (mode, backend) pairings are rejected at
+ * construction.
  *
  * State identifiers are (shard, offset) pairs packed into a u32:
  * the top kShardBits select the shard, the low kOffsetBits index the
@@ -123,7 +119,8 @@ struct StoreConfig {
     std::size_t initialBuckets = 1 << 16;
     /** Full (verbatim states) or Compact (hash compaction). */
     StoreMode mode = StoreMode::Full;
-    /** Heap or file-backed (out-of-core) shard memory. */
+    /** Heap or file-backed (out-of-core) shard memory; must be InRam
+     * for Full and Mmap for Compact. */
     StoreBackend backend = StoreBackend::InRam;
     /** Mmap backend: backing directory; "" = anonymous in-memory
      * files (memfd). */
@@ -156,17 +153,6 @@ class StateStore
     static constexpr std::uint32_t kOffsetMask =
         (1u << kOffsetBits) - 1;
 
-    /** Layer constants re-exported for existing callers/tests. */
-    static constexpr std::uint32_t kBlockBits =
-        StateArena::kFullBlockBitsRam;
-    static constexpr std::uint32_t kBlockSize = 1u << kBlockBits;
-    static constexpr std::uint32_t kByteBlockBits =
-        StateArena::kByteBlockBits;
-    static constexpr std::uint32_t kByteBlockSize =
-        1u << kByteBlockBits;
-    static constexpr std::size_t kMaxEncodedState =
-        StateArena::kMaxEncodedState;
-
     /**
      * One pending insert of a batched flush.  The caller fills state,
      * hash (the state's probe hash) and the breadcrumbs; insertBatch
@@ -184,19 +170,23 @@ class StateStore
 
       private:
         friend class StateStore;
-        std::uint64_t verify_ = 0; ///< fingerprint (compact/mmap)
+        std::uint64_t verify_ = 0; ///< fingerprint (compact)
         std::uint32_t next_ = 0;   ///< shard-chain scratch
     };
 
+    /** @throws std::invalid_argument for a (mode, backend) pairing
+     * other than (Full, InRam) or (Compact, Mmap). */
     explicit StateStore(const StoreConfig &config);
 
-    /** Legacy convenience: InRam backend with the given knobs. */
+    /** Convenience: the mode's backend, anonymous backing files. */
     explicit StateStore(std::size_t initial_buckets = 1 << 16,
                         StoreMode mode = StoreMode::Full,
                         std::uint64_t capacity_limit = 0)
         : StateStore(StoreConfig{initial_buckets, mode,
-                                 StoreBackend::InRam, std::string(),
-                                 capacity_limit})
+                                 mode == StoreMode::Full
+                                     ? StoreBackend::InRam
+                                     : StoreBackend::Mmap,
+                                 std::string(), capacity_limit})
     {
     }
 
@@ -251,40 +241,14 @@ class StateStore
      * Copy/decode the state bytes for a packed id into @p out — the
      * store's only read path.  The active prefix is copied (full) or
      * decoded (compact) and the inactive device slots are left as
-     * default bytes.  The entry must still be retained (see
-     * stateRetained — on recoverable backends every entry is, with
-     * sealed blocks remapped on demand, in which case the call must
-     * hold no expectation of lock-freedom: quiescent or shard-lock
-     * use only).
+     * default bytes.  A compact entry from a sealed level is remapped
+     * from the backing file first, so such reads must be quiescent
+     * or hold the shard lock.
      */
     void
     stateInto(std::uint32_t id, SystemState &out) const
     {
         shards_[shardOf(id)].arena.stateInto(id & kOffsetMask, out);
-    }
-
-    /** True iff the state bytes of @p id are still readable: always
-     * in full mode and on recoverable (Mmap) backends; in InRam
-     * compact mode, until sealLevel releases the enclosing arena
-     * block. */
-    bool
-    stateRetained(std::uint32_t id) const
-    {
-        if (mode_ == StoreMode::Full)
-            return true;
-        return shards_[shardOf(id)].arena.cellRetained(id &
-                                                       kOffsetMask);
-    }
-
-    /** True iff stateInto works for *every* id ever returned — i.e.
-     * counterexample traces are reconstructible: full mode, or a
-     * recoverable backend whose sealed cells persist in the backing
-     * file. */
-    bool
-    statesAlwaysReadable() const
-    {
-        return mode_ == StoreMode::Full ||
-               shards_[0].arena.recoverable();
     }
 
     /** Breadcrumb accessors; quiescent use only (the columns may
@@ -308,12 +272,11 @@ class StateStore
     }
 
     /**
-     * BFS level barrier hook; call only while quiescent.  Releases
-     * the arena blocks of states older than the level that just
-     * finished expanding (their bytes are no longer on the hot path)
-     * and records the new level boundary.  InRam compact mode frees
-     * them for good; Mmap backends unmap them — file keeps the bytes,
-     * reads recover them — in both modes.  No-op for InRam full.
+     * BFS level barrier hook; call only while quiescent.  In compact
+     * mode, unmaps the arena blocks of states older than the level
+     * that just finished expanding (their bytes are no longer on the
+     * hot path; the backing file keeps them and reads remap them)
+     * and records the new level boundary.  No-op in full mode.
      */
     void sealLevel();
 
@@ -326,9 +289,6 @@ class StateStore
 
     /** Storage mode selected at construction. */
     StoreMode mode() const { return mode_; }
-
-    /** Memory backend selected at construction. */
-    StoreBackend backend() const { return backend_; }
 
     /** Bytes currently mapped by file-backed shard memory (0 on
      * InRam).  Readable from any thread (relaxed counters). */
@@ -388,8 +348,6 @@ class StateStore
     /** Full mode: device count of every stored state (0 = none yet). */
     std::atomic<std::uint8_t> ndev_{0};
     StoreMode mode_;
-    StoreBackend backend_;
-    bool needsVerify_;
 };
 
 } // namespace cxl

@@ -119,17 +119,14 @@ StateArena::init(ShardMem *mem, StoreMode mode,
     mode_ = mode;
     if (mode_ == StoreMode::Full) {
         // blockBytes_ waits for the stride, fixed by the first
-        // placeFull.
-        blockBits_ = mem_->recoverable() ? kFullBlockBitsMmap
-                                         : kFullBlockBitsRam;
-        // Fully reserve the block spine: it must never reallocate,
-        // because readers index it lock-free (see the class comment).
-        blocks_.reserve((max_entries >> blockBits_) + 1);
+        // placeFull.  Fully reserve the block spine: it must never
+        // reallocate, because readers index it lock-free (see the
+        // class comment).
+        blocks_.reserve((max_entries >> kFullBlockBits) + 1);
     } else {
         // Compact cells are offset-addressed with 32 bits per shard:
         // up to 4 GiB of compressed frontier per shard, far beyond
         // the retained working set of any feasible run.
-        blockBits_ = kByteBlockBits;
         blockBytes_ = std::size_t{1} << kByteBlockBits;
         blocks_.reserve((std::uint64_t{1} << 32) >> kByteBlockBits);
         stateOffs_.reserve((max_entries >> kOffChunkBits) + 1);
@@ -140,7 +137,7 @@ std::byte *
 StateArena::recoverBlock(std::uint32_t block) const
 {
     auto *p = static_cast<std::byte *>(mem_->blockRecover(block));
-    assert(p && "sealed state block unrecoverable on this backend");
+    assert(p && "only a dropped block is recovered");
     blocks_[block] = p;
     return p;
 }
@@ -150,15 +147,13 @@ StateArena::stateInto(std::uint32_t off, SystemState &out) const
 {
     if (mode_ == StoreMode::Compact) {
         const std::uint32_t byte_off = stateOffAt(off);
-        assert(cellRetained(off) && "state released by sealLevel");
-        decodeCell(blockBase(byte_off >> blockBits_) +
+        decodeCell(blockBase(byte_off >> kByteBlockBits) +
                        (byte_off & (blockBytes_ - 1)),
                    out);
         return;
     }
     auto *dst = reinterpret_cast<std::byte *>(&out);
-    std::memcpy(dst, blockBase(off >> blockBits_) + slotOffset(off),
-                stride_);
+    std::memcpy(dst, fullSlot(off), stride_);
     std::memset(dst + stride_, 0, sizeof(SystemState) - stride_);
 }
 
@@ -167,11 +162,11 @@ StateArena::placeFull(std::uint32_t off, const SystemState &state)
 {
     if (stride_ == 0) {
         stride_ = state.activeBytes();
-        blockBytes_ = (std::size_t{1} << blockBits_) * stride_;
+        blockBytes_ = (std::size_t{1} << kFullBlockBits) * stride_;
     }
     assert(state.activeBytes() == stride_ &&
            "the façade admits one device count per full-mode store");
-    const std::uint32_t block = off >> blockBits_;
+    const std::uint32_t block = off >> kFullBlockBits;
     if (block == blocks_.size()) {
         blocks_.push_back(static_cast<std::byte *>(
             mem_->blockAlloc(block, blockBytes_)));
@@ -197,7 +192,7 @@ StateArena::appendCell(std::uint32_t shard_idx, std::uint32_t off,
                 "encoded frontier); pre-size with --expect-states so "
                 "sealing keeps up, or lower the run's budgets");
     }
-    const auto block = static_cast<std::uint32_t>(at >> blockBits_);
+    const auto block = static_cast<std::uint32_t>(at >> kByteBlockBits);
     while (block >= blocks_.size()) {
         blocks_.push_back(static_cast<std::byte *>(mem_->blockAlloc(
             static_cast<std::uint32_t>(blocks_.size()), blockBytes_)));
@@ -215,32 +210,21 @@ StateArena::appendCell(std::uint32_t shard_idx, std::uint32_t off,
 }
 
 void
-StateArena::seal(std::uint32_t entry_count)
+StateArena::seal()
 {
-    if (mode_ == StoreMode::Full && !mem_->recoverable())
-        return; // classic full store: nothing is ever released
     // Blocks wholly below the previous level boundary belong to
     // levels whose expansion has finished; the frontier no longer
     // reads them.  Release whole blocks only — a partial tail block
     // is shared with the still-needed frontier.  The loop rescans
     // from zero so blocks recovered since the last seal go cold
     // again.
-    const std::uint64_t floor_block = levelBoundary_ >> blockBits_;
+    const std::uint64_t floor_block = levelBoundary_ >> kByteBlockBits;
     for (std::uint64_t b = 0; b < floor_block; ++b) {
-        if (blocks_[b]) {
-            mem_->blockDrop(static_cast<std::uint32_t>(b));
+        if (blocks_[b] &&
+            mem_->blockDrop(static_cast<std::uint32_t>(b)))
             blocks_[b] = nullptr;
-        }
     }
-    if (mode_ == StoreMode::Compact) {
-        if (!mem_->recoverable()) {
-            byteFloor_ =
-                std::max(byteFloor_, floor_block << blockBits_);
-        }
-        levelBoundary_ = byteCursor_;
-    } else {
-        levelBoundary_ = entry_count;
-    }
+    levelBoundary_ = byteCursor_;
 }
 
 } // namespace cxl

@@ -8,11 +8,11 @@
  *
  *  - Full mode: verbatim slots at the active-prefix stride
  *    (SystemState::activeBytes(): 123/182/241 bytes for 2/3/4
- *    devices), 2^fullBlockBits() slots per block.  The stride is
+ *    devices), 2^kFullBlockBits slots per heap block.  The stride is
  *    fixed by the shard's first placeFull (the façade guarantees
  *    every full-mode insert has the same device count); the inactive
  *    device slots are default bytes in every state of a run, so they
- *    are not stored.
+ *    are not stored.  Full-mode blocks are never released.
  *  - Compact mode: zero-RLE cells in byte blocks, located by a
  *    chunked per-entry offset column (chunks never move, so workers
  *    may read frontier offsets while peers append).
@@ -25,30 +25,20 @@
  * before their expansion phase began, the same contract the
  * monolithic store had.
  *
- * seal(): at a BFS level barrier the façade passes the current entry
- * count and the arena drops every whole block that belongs to levels
- * finished expanding.  On an unrecoverable backend (InRam) this is
- * the classic compact-mode release — full mode never drops, and
- * dropped cells are gone (cellRetained() goes false).  On a
- * recoverable backend (Mmap) *both* modes drop: the mapped window
- * shrinks to roughly the frontier and its successors while the
- * backing file keeps every byte, and a dropped block can be remapped
- * on demand (stateInto()) — which is also why counterexample traces
- * stay reconstructible under mmap even in compact mode.  Recovered
- * blocks are re-dropped at the next seal (the drop loop rescans from
- * block zero).
+ * seal() (compact mode): at a BFS level barrier the arena drops every
+ * whole byte block that belongs to levels finished expanding.  On the
+ * Mmap backend the mapped window shrinks to roughly the frontier and
+ * its successors while the backing file keeps every byte, and a
+ * dropped block is remapped on demand by stateInto() — which is why
+ * counterexample traces stay reconstructible under compaction.
+ * Recovered blocks are re-dropped at the next seal (the drop loop
+ * rescans from block zero).  A backend without a backing file (the
+ * heap fallback on platforms without mmap) declines every drop, so
+ * its cells stay readable too.
  *
- * Full-mode dedup against a sealed (dropped) block would fault pages
- * back per duplicate and re-grow the mapped window; the façade
- * instead keeps a verification fingerprint per entry on recoverable
- * full-mode backends and compares *that* when fullIfMapped() returns
- * null — identical detected-collision semantics to compact mode for
- * cold entries, exact byte comparison for the mapped window.
- *
- * Thread-safety: placeFull/appendCell/seal, fullIfMapped and the
- * cold (recovering) reads run under the shard lock or quiescent;
- * stateInto on retained frontier entries follows the façade's
- * lock-free reader contract.
+ * Thread-safety: placeFull/appendCell/seal and the cold (recovering)
+ * reads run under the shard lock or quiescent; stateInto on frontier
+ * entries follows the façade's lock-free reader contract.
  */
 
 #ifndef CXL_CHECKER_STORE_ARENA_HH
@@ -74,11 +64,9 @@ enum class StoreMode : std::uint8_t {
 class StateArena
 {
   public:
-    /** log2 of slots per full-mode block: 1-2 MB heap blocks in RAM
-     * (8192 slots of 123-241 bytes); half that under mmap so the
-     * partial-block slack at the mapped window's edges stays small. */
-    static constexpr std::uint32_t kFullBlockBitsRam = 13;
-    static constexpr std::uint32_t kFullBlockBitsMmap = 12;
+    /** log2 of slots per full-mode block: 1-2 MB heap blocks
+     * (8192 slots of 123-241 bytes). */
+    static constexpr std::uint32_t kFullBlockBits = 13;
     /** log2 of the compact-mode byte-block size (256 KiB). */
     static constexpr std::uint32_t kByteBlockBits = 18;
 
@@ -100,14 +88,6 @@ class StateArena
      * space). */
     void init(ShardMem *mem, StoreMode mode, std::uint32_t max_entries);
 
-    /** log2 of states per block in full mode (runtime: backend-
-     * dependent). */
-    std::uint32_t fullBlockBits() const { return blockBits_; }
-
-    /** True when dropped blocks can be remapped from the backing
-     * file. */
-    bool recoverable() const { return mem_->recoverable(); }
-
     /**
      * Copy (full) or decode (compact) entry @p off's state into
      * @p out; bytes past the active prefix are zeroed.  A dropped
@@ -121,14 +101,11 @@ class StateArena
      * shard holds); 0 before the first placeFull. */
     std::size_t fullStride() const { return stride_; }
 
-    /** Entry @p off's slot bytes (fullStride() of them), or null when
-     * the enclosing block was dropped — the façade's cue to fall back
-     * to fingerprint identity. */
+    /** Entry @p off's slot bytes (fullStride() of them). */
     const std::byte *
-    fullIfMapped(std::uint32_t off) const
+    fullSlot(std::uint32_t off) const
     {
-        const std::byte *base = blocks_[off >> blockBits_];
-        return base ? base + slotOffset(off) : nullptr;
+        return blocks_[off >> kFullBlockBits] + slotOffset(off);
     }
 
     /** Copy the active prefix of @p state into entry @p off's slot
@@ -145,30 +122,20 @@ class StateArena
     void appendCell(std::uint32_t shard_idx, std::uint32_t off,
                     const SystemState &state);
 
-    /** True while entry @p off's cell is still decodable: always on a
-     * recoverable backend; until seal() releases the enclosing block
-     * otherwise. */
-    bool
-    cellRetained(std::uint32_t off) const
-    {
-        return byteFloor_ == 0 || stateOffAt(off) >= byteFloor_;
-    }
-
     // --- Level barrier -----------------------------------------------
 
     /**
-     * BFS level barrier (quiescent): drop every whole block of levels
-     * finished expanding.  @p entry_count is the shard's current
-     * entry count (full-mode level boundary; compact mode uses its
-     * byte cursor).  No-op for full mode on unrecoverable backends.
+     * BFS level barrier, compact mode (quiescent): drop every whole
+     * byte block of levels finished expanding.
      */
-    void seal(std::uint32_t entry_count);
+    void seal();
 
   private:
     std::size_t
     slotOffset(std::uint32_t off) const
     {
-        return static_cast<std::size_t>(off & ((1u << blockBits_) - 1)) *
+        return static_cast<std::size_t>(off &
+                                        ((1u << kFullBlockBits) - 1)) *
                stride_;
     }
 
@@ -191,7 +158,6 @@ class StateArena
 
     ShardMem *mem_ = nullptr;
     StoreMode mode_ = StoreMode::Full;
-    std::uint32_t blockBits_ = kFullBlockBitsRam;
     std::size_t blockBytes_ = 0;
     std::size_t stride_ = 0; ///< full: bytes per slot (0 = unset)
     /**
@@ -203,9 +169,7 @@ class StateArena
     /** Compact offset column, in fixed chunks (never move). */
     std::vector<std::uint32_t *> stateOffs_;
     std::uint64_t byteCursor_ = 0; ///< compact: next free arena byte
-    std::uint64_t byteFloor_ = 0;  ///< compact: lost below this (InRam)
-    /** Level boundary at the previous seal: entry count (full) or
-     * byte cursor (compact). */
+    /** Compact: byte cursor at the previous seal. */
     std::uint64_t levelBoundary_ = 0;
 };
 

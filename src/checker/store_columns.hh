@@ -39,8 +39,7 @@ class ShardColumns
     /**
      * Bind to a backend and size the initial bucket array.
      * @p keep_verifies stores the 64-bit verification fingerprint per
-     * entry (compact mode, and full-mode backends that dedup sealed
-     * entries by fingerprint).
+     * entry (compact mode).
      */
     void init(ShardMem *mem, bool keep_verifies,
               std::size_t initial_buckets);

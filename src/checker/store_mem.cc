@@ -19,8 +19,8 @@ namespace cxl
 namespace
 {
 
-/** Heap backend: the classic layout.  Dropped blocks are freed and
- * gone — exactly the pre-backend StateStore behaviour. */
+/** Heap backend: the classic layout.  Blocks live until the store
+ * is destroyed. */
 class RamShardMem final : public ShardMem
 {
   public:
@@ -66,21 +66,6 @@ class RamShardMem final : public ShardMem
         return p;
     }
 
-    void
-    blockDrop(std::uint32_t index) override
-    {
-        ::operator delete(blocks_[index]);
-        blocks_[index] = nullptr;
-    }
-
-    void *
-    blockRecover(std::uint32_t) override
-    {
-        return nullptr;
-    }
-
-    bool recoverable() const override { return false; }
-
   private:
     struct Flat {
         void *p = nullptr;
@@ -111,9 +96,14 @@ roundUpPage(std::size_t bytes)
     return (bytes + page - 1) & ~(page - 1);
 }
 
+/** Throw for a failed system call: std::bad_alloc when the process
+ * ran out of memory or address space (the explorer turns that into a
+ * governed memory stop), std::runtime_error otherwise. */
 [[noreturn]] void
 throwErrno(const char *what)
 {
+    if (errno == ENOMEM)
+        throw std::bad_alloc();
     throw std::runtime_error(std::string("mmap store: ") + what +
                              ": " + std::strerror(errno));
 }
@@ -255,12 +245,12 @@ class MmapShardMem final : public ShardMem
         return p;
     }
 
-    void
+    bool
     blockDrop(std::uint32_t index) override
     {
         Block &b = blocks_[index];
         if (!b.p)
-            return;
+            return true;
         // Advise the level's pages cold before unmapping: the file
         // keeps the bytes, but the kernel may reclaim the physical
         // pages ahead of memory pressure.
@@ -270,6 +260,7 @@ class MmapShardMem final : public ShardMem
         ::munmap(b.p, b.bytes);
         bumpMapped(-static_cast<std::int64_t>(b.bytes));
         b.p = nullptr;
+        return true;
     }
 
     void *
@@ -286,8 +277,6 @@ class MmapShardMem final : public ShardMem
         b.p = p;
         return p;
     }
-
-    bool recoverable() const override { return true; }
 
     std::uint64_t
     mappedBytes() const override

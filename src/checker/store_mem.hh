@@ -16,19 +16,22 @@
  *  - chunks: fixed-size allocations whose address never moves; they
  *    serve only the compact-mode state-offset column, which
  *    workers read lock-free for frontier entries while peers insert.
- *  - blocks: fixed-size, index-addressed arena blocks that can be
- *    dropped (sealLevel) and — on backends with a backing file —
+ *  - blocks: fixed-size, index-addressed arena blocks.  On a backend
+ *    with a backing file they can be dropped (sealLevel) and
  *    recovered later, because the bytes persist in the file.
  *
- * The Mmap backend gives every shard its own anonymous backing files
- * (memfd, or O_TMPFILE/unlinked files under an explicit directory for
- * true spill-to-disk), grown with ftruncate and mapped afresh at the
- * new size.  Dropping a sealed block munmaps it — address space and
- * residency shrink, the file keeps the bytes — after advising the
- * kernel the pages have gone cold, so a bounded mapped window walks
- * the (unbounded) file as BFS levels seal.  That is what lets a
- * space whose full-mode arena exceeds an address-space budget
- * (`ulimit -v`) complete out of core.
+ * The two backends pair with the two store modes (state_store.hh):
+ * full-mode stores allocate from the heap (InRam), compact-mode
+ * stores from the Mmap backend, which gives every shard its own
+ * anonymous backing files (memfd, or O_TMPFILE/unlinked files under
+ * an explicit directory for true spill-to-disk), grown with ftruncate
+ * and mapped afresh at the new size.  Dropping a sealed block munmaps
+ * it — address space and residency shrink, the file keeps the bytes —
+ * after advising the kernel the pages have gone cold, so a bounded
+ * mapped window walks the (unbounded) file as BFS levels seal.
+ * Running out of address space (ENOMEM from mmap or ftruncate)
+ * throws std::bad_alloc, like the heap backend, so the explorer can
+ * end the run as a governed memory stop.
  *
  * Thread-safety: all allocation calls are made under the owning
  * shard's lock (or while quiescent).  The byte counters are atomics
@@ -49,8 +52,8 @@ namespace cxl
 
 /** Which memory backend a StateStore's shards allocate from. */
 enum class StoreBackend : std::uint8_t {
-    InRam, ///< heap allocations; dropped blocks are freed for good
-    Mmap,  ///< per-shard file-backed mappings; dropped blocks persist
+    InRam, ///< heap allocations (full-mode stores)
+    Mmap,  ///< per-shard file-backed mappings (compact-mode stores)
 };
 
 /** One shard's allocator (see the file comment for the shapes). */
@@ -86,17 +89,26 @@ class ShardMem
     virtual void *blockAlloc(std::uint32_t index,
                              std::size_t bytes) = 0;
 
-    /** Release block @p index's memory.  InRam frees it for good;
-     * Mmap unmaps the window (the backing file keeps the bytes). */
-    virtual void blockDrop(std::uint32_t index) = 0;
+    /**
+     * Release block @p index's mapping; the backing file keeps its
+     * bytes for blockRecover.  @return false, keeping the block
+     * allocated, on a backend without a backing file (InRam).
+     */
+    virtual bool
+    blockDrop(std::uint32_t index)
+    {
+        (void)index;
+        return false;
+    }
 
-    /** Re-map a dropped block; nullptr when the backend cannot
-     * (InRam).  Callers hold the shard lock or are quiescent. */
-    virtual void *blockRecover(std::uint32_t index) = 0;
-
-    /** True when dropped blocks can be recovered (a backing file
-     * holds their bytes). */
-    virtual bool recoverable() const = 0;
+    /** Re-map a block that blockDrop released.  Callers hold the
+     * shard lock or are quiescent. */
+    virtual void *
+    blockRecover(std::uint32_t index)
+    {
+        (void)index;
+        return nullptr;
+    }
 
     /** Bytes currently mapped/allocated by this shard's file-backed
      * regions (0 for InRam: nothing is file-backed). */
@@ -110,7 +122,7 @@ class ShardMem
  * Build one shard's allocator.  @p dir names the backing directory
  * for StoreBackend::Mmap ("" = anonymous in-memory files); ignored
  * for InRam.  On platforms without the required mmap surface the
- * Mmap backend degrades to InRam (dropped blocks unrecoverable).
+ * Mmap backend degrades to InRam, which never drops a block.
  *
  * @throws std::runtime_error when a backing file cannot be created.
  */

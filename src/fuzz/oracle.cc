@@ -12,8 +12,6 @@ ComboDesc::label() const
     std::string out = por ? "por" : "-";
     out += sym ? "/sym" : "/-";
     out += compact ? "/compact" : "/full";
-    if (mmapStore)
-        out += "-mmap";
     out += "/t" + std::to_string(threads);
     return out;
 }
@@ -24,11 +22,7 @@ ComboDesc::engineOptions() const
     EngineOptions opt;
     opt.por = por;
     opt.symmetry = sym ? SymmetryMode::On : SymmetryMode::Off;
-    opt.store = mmapStore
-                    ? (compact ? StoreKind::MmapCompact
-                               : StoreKind::Mmap)
-                    : (compact ? StoreKind::InRamCompact
-                               : StoreKind::InRam);
+    opt.store = compact ? StoreKind::MmapCompact : StoreKind::InRam;
     opt.threads = threads;
     return opt;
 }
@@ -49,10 +43,6 @@ fullPortfolio(std::size_t threads)
                 combos.push_back(ComboDesc{por, sym, compact, threads});
         }
     }
-    // One out-of-core arm: the mmap backend must agree bit-for-bit
-    // with the reference on verdicts and counts (the paging layer is
-    // below the probe algorithm, so any divergence is a store bug).
-    combos.push_back(ComboDesc{false, false, false, threads, true});
     return combos;
 }
 
@@ -65,11 +55,9 @@ replayPortfolio(const std::vector<std::size_t> &threadCounts)
             for (bool sym : {false, true})
                 combos.push_back(ComboDesc{por, sym, false, threads});
         }
-        // One compact-store probe per thread count.
+        // One compact-store probe per thread count; it runs on the
+        // mmap backend, so replay also exercises the out-of-core path.
         combos.push_back(ComboDesc{false, false, true, threads});
-        // And one mmap-backend probe, so replay also exercises the
-        // out-of-core path against the stored reference signature.
-        combos.push_back(ComboDesc{false, false, false, threads, true});
     }
     return combos;
 }

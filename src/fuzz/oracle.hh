@@ -2,8 +2,8 @@
  * @file
  * The cross-engine differential oracle: run one FuzzCase through a
  * portfolio of engine combinations — {por on/off} x {symmetry
- * on/off} x {full/compact store} x thread counts, plus one
- * mmap-backend arm per portfolio — and cross-check the
+ * on/off} x {ram/mmap-compact store} x thread counts — and
+ * cross-check the
  * VerdictSignatures under the engine's documented guarantees.  Any
  * disagreement those guarantees forbid is an engine bug, reported as
  * a divergence.
@@ -46,13 +46,8 @@ struct ComboDesc {
     bool compact = false;
     std::size_t threads = 1;
 
-    /** Run this combo on the mmap backend of its compactness — the
-     * out-of-core arms that keep the differential oracle honest
-     * about backend-independence of verdicts and counts. */
-    bool mmapStore = false;
-
-    /** e.g. "por/sym/compact/t4" ("-/-/full/t1"); mmap arms append
-     * "-mmap" to the store segment. */
+    /** e.g. "por/sym/compact/t4" ("-/-/full/t1"); compact arms run
+     * the mmap-compact store, full arms the ram store. */
     std::string label() const;
 
     EngineOptions engineOptions() const;
@@ -66,15 +61,13 @@ struct ComboDesc {
  */
 ComboDesc referenceCombo();
 
-/** The full 8-combo cross product at one thread count, plus the
- * mmap arm (and the reference, which the oracle always runs
- * first). */
+/** The full 8-combo cross product at one thread count (and the
+ * reference, which the oracle always runs first). */
 std::vector<ComboDesc> fullPortfolio(std::size_t threads);
 
 /**
  * The corpus-replay portfolio: {por} x {sym} at each of
- * @p threadCounts, plus a compact-store probe and an mmap-backend
- * probe per thread count.
+ * @p threadCounts, plus a compact-store probe per thread count.
  */
 std::vector<ComboDesc>
 replayPortfolio(const std::vector<std::size_t> &threadCounts);

@@ -199,7 +199,7 @@ requestFromJson(const std::string &text)
             if (!kind) {
                 throw std::runtime_error(
                     "unknown store kind '" + word +
-                    "' (want ram|ram-compact|mmap|mmap-compact)");
+                    "' (want ram|mmap-compact)");
             }
             k.store = *kind;
         }

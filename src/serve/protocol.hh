@@ -10,7 +10,7 @@
  *    "devices":2, "checks":"both|invariants|deadlock",
  *    "config":{<the fuzz-case config keys>}, "families":[...],
  *    "engine":{"threads":N,"sym":"auto|on|off",
- *              "store":"ram|ram-compact|mmap|mmap-compact",
+ *              "store":"ram|mmap-compact",
  *              "compact":B,"por":B,
  *              "schedule":"bfs","max_states":N,"expect_states":N,
  *              "max_seconds":S,"max_rss_mb":N},
@@ -61,10 +61,9 @@ inline constexpr const char *kSchema = "cxl-checkd/v1";
 struct EngineKnobs {
     std::optional<std::uint64_t> threads;
     std::optional<SymmetryMode> symmetry;
-    /** Visited-set backend by name.  Applied before `compact`, which
-     * then upgrades whichever kind is in force to its compacted
-     * variant — so `{"store":"mmap","compact":true}` means
-     * mmap-compact, matching the CLI's --store/--compact layering. */
+    /** Visited-set store kind by name.  Applied before `compact`,
+     * which then picks mmap-compact (true) or ram (false), matching
+     * the CLI's --store/--compact layering. */
     std::optional<StoreKind> store;
     std::optional<bool> compact;
     std::optional<bool> por;

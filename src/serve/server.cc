@@ -142,17 +142,12 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
         e.threads = static_cast<std::size_t>(*k.threads);
     if (k.symmetry)
         e.symmetry = *k.symmetry;
-    // store picks the backend, then compact toggles the compacted
-    // variant of whatever kind is in force — same layering as the
-    // CLI's --store/--compact.
+    // store picks the kind, then compact overrides it — same
+    // layering as the CLI's --store/--compact.
     if (k.store)
         e.store = *k.store;
-    if (k.compact) {
-        e.store = *k.compact
-                      ? storeKindCompacted(e.store)
-                      : (storeKindMmap(e.store) ? StoreKind::Mmap
-                                                : StoreKind::InRam);
-    }
+    if (k.compact)
+        e.store = *k.compact ? StoreKind::MmapCompact : StoreKind::InRam;
     if (k.por)
         e.por = *k.por;
     if (k.maxStates)
@@ -178,11 +173,8 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     // effective state cap) plus the deterministic rendering bit.
     // Excluded: budgets (maxSeconds/maxRssBytes/storeCapacity — they
     // only matter to Incomplete results, which are never cached),
-    // expectedStates (presizing), the progress knobs (observation
-    // only), and the store *backend*: ram and mmap spellings of the
-    // same compactness produce byte-identical JSON (the backend is
-    // deliberately not echoed there), so they collapse onto one
-    // cache entry and a ram-warmed cache serves mmap requests.
+    // expectedStates (presizing) and the progress knobs
+    // (observation only).
     const ProtocolConfig cfg =
         rr.check.config.value_or(fallback_config);
     std::vector<std::string> families =

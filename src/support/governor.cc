@@ -137,7 +137,7 @@ RunGovernor::poll()
     if (maxRssBytes_ != 0) {
         const std::uint32_t n =
             polls_.fetch_add(1, std::memory_order_relaxed);
-        // Meter anonymous RSS, not total: the mmap store kinds keep
+        // Meter anonymous RSS, not total: the mmap-compact store keeps
         // sealed levels in file-backed pages the kernel can reclaim
         // without swap, so counting them would spuriously trip runs
         // whose whole point is to stay under the ceiling.

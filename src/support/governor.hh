@@ -36,7 +36,7 @@ enum class StopReason : std::uint8_t {
     None = 0,  ///< no governed stop (completed, or violation-stopped)
     StateCap,  ///< ExploreOptions::maxStates reached
     Deadline,  ///< maxSeconds wall-clock budget exhausted
-    Memory,    ///< maxRssBytes anonymous-RSS ceiling exceeded
+    Memory,    ///< maxRssBytes ceiling exceeded, or an allocation failed
     Cancelled, ///< external CancelToken tripped (SIGINT/SIGTERM)
     ShardFull, ///< a StateStore shard reached its capacity
     /** A worker raised an unexpected exception; only used to drain

@@ -75,7 +75,7 @@ currentRssBytes()
  * Current file-backed resident bytes of this process (0 when the
  * platform offers no probe).  On Linux this is /proc/self/statm
  * field 3 ("shared"): resident pages backed by a file — which is
- * exactly what the mmap store kinds' mappings are, plus the text
+ * exactly what the mmap-compact store's mappings are, plus the text
  * segment and shared libraries.  The kernel can reclaim these pages
  * without swap by writing them back, so a memory ceiling should not
  * count them the way it counts anonymous heap.

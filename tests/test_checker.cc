@@ -428,7 +428,6 @@ TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
     // same (already known) state it left from.
     EXPECT_TRUE(res.violation->trace[3].state ==
                 res.violation->trace[4].state);
-    EXPECT_TRUE(res.violation->traceNote.empty());
 }
 
 TEST_F(ExplorerTest, FreeRunCoversEveryDeviceStateAndHostState)

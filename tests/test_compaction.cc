@@ -4,9 +4,10 @@
  * modes must agree on state/transition counts and verdicts for 2- and
  * 3-device explorations across 1/4/8 worker threads, a synthetic
  * probe-hash collision must be detected and kept as two states (and
- * reported via probeCollisions) rather than silently merged, and a
- * violation found under compaction must carry the same verdict with
- * an explanatory trace note instead of a breadcrumb path.
+ * reported via probeCollisions) rather than silently merged, a
+ * violation found under compaction must carry the same verdict and
+ * the same complete, replayable trace as full mode, and sealed cells
+ * must be unmapped yet still decode and deduplicate.
  */
 
 #include <gtest/gtest.h>
@@ -112,12 +113,37 @@ TEST(Compaction, ExpectedStatesHintChangesNoCounts)
     }
 }
 
-TEST(Compaction, ViolationVerdictMatchesWithTraceNote)
+/** Every step of @p trace is one firing of its named rule from the
+ * previous step's state (tid-canonicalised, as the explorer stores
+ * states without symmetry reduction). */
+void
+expectReplayable(const RuleSet &rules, const Scenario &sc,
+                 const std::vector<TraceStep> &trace,
+                 const std::string &what)
+{
+    ASSERT_FALSE(trace.empty()) << what;
+    SystemState init = sc.initial;
+    init.canonicaliseTids();
+    EXPECT_TRUE(trace.front().state == init) << what;
+    std::vector<RuleSet::Successor> succs;
+    for (std::size_t k = 1; k < trace.size(); ++k) {
+        rules.successorsInto(trace[k - 1].state, sc, true, succs);
+        bool fired = false;
+        for (const RuleSet::Successor &succ : succs) {
+            fired |= succ.rule->name == trace[k].ruleName &&
+                     succ.state == trace[k].state;
+        }
+        EXPECT_TRUE(fired) << what << ": step " << k << " ("
+                           << trace[k].ruleName << ") does not replay";
+    }
+}
+
+TEST(Compaction, ViolationTraceIsCompleteAndReplayable)
 {
     // The Table 3 mutation under compaction: same conjunct, family
-    // and minimal depth as the full-mode verdict, but the breadcrumb
-    // path cannot be rebuilt — the violation must say so instead of
-    // showing a wrong or empty trace silently.
+    // and minimal depth as the full-mode verdict, and the same full
+    // breadcrumb path — sealed cells are remapped from the backing
+    // file to rebuild it.
     ProtocolConfig mutated;
     mutated.relaxSnoopPushesGo = true;
     RuleSet rules(mutated);
@@ -126,27 +152,25 @@ TEST(Compaction, ViolationVerdictMatchesWithTraceNote)
 
     ExploreResult full = runMode(rules, sc, swmr, {}, false, 1);
     ASSERT_TRUE(full.violation.has_value());
-    ASSERT_TRUE(full.violation->traceNote.empty());
+    const std::vector<TraceStep> &want = full.violation->trace;
+    ASSERT_EQ(want.size(), full.violation->depth + 1u);
+    expectReplayable(rules, sc, want, "full");
 
     for (std::size_t n : kSweep) {
+        const std::string what = "compact @" + std::to_string(n);
         ExploreResult comp = runMode(rules, sc, swmr, {}, true, n);
-        ASSERT_TRUE(comp.violation.has_value())
-            << "compact @" << n;
+        ASSERT_TRUE(comp.violation.has_value()) << what;
         EXPECT_EQ(comp.violation->kind, full.violation->kind);
         EXPECT_EQ(comp.violation->depth, full.violation->depth);
         EXPECT_EQ(comp.violation->conjunctName,
                   full.violation->conjunctName);
         EXPECT_EQ(comp.violation->conjunctFamily,
                   full.violation->conjunctFamily);
-        EXPECT_NE(comp.violation->traceNote.find("compaction"),
-                  std::string::npos);
-        // At most the bad state itself is shown; never a partial
-        // breadcrumb path that silently omits steps.
-        EXPECT_LE(comp.violation->trace.size(), 1u);
-        if (!comp.violation->trace.empty()) {
-            EXPECT_FALSE(
-                swmrHolds(comp.violation->trace.back().state));
-        }
+        const std::vector<TraceStep> &got = comp.violation->trace;
+        ASSERT_EQ(got.size(), want.size()) << what;
+        EXPECT_TRUE(got.back().state == want.back().state) << what;
+        EXPECT_FALSE(swmrHolds(got.back().state)) << what;
+        expectReplayable(rules, sc, got, what);
     }
 }
 
@@ -241,12 +265,13 @@ TEST(Compaction, CompactCellsRoundTripBitExactly)
     }
 }
 
-TEST(Compaction, CompactStoreReleasesSealedLevels)
+TEST(Compaction, SealedLevelsAreUnmappedYetDecodeAndDedup)
 {
-    // sealLevel must release only state bytes at least two level
-    // boundaries old; the newest level (the next frontier) stays
-    // readable.  Insert enough encoded cells on one shard that whole
-    // byte-arena blocks become releasable.
+    // sealLevel unmaps the byte blocks of levels at least two
+    // boundaries old — the mapped window shrinks — while every cell
+    // stays decodable (remapped from the backing file) and
+    // deduplication keeps working.  Insert enough encoded cells on one
+    // shard that whole byte-arena blocks become releasable.
     StateStore store(1 << 10, StoreMode::Compact);
     const int n = 200000; // cells total several byte blocks
     std::vector<std::uint32_t> ids;
@@ -259,24 +284,25 @@ TEST(Compaction, CompactStoreReleasesSealedLevels)
                                   StateStore::kNoParent, 0, 0)
                           .first);
     }
-    EXPECT_TRUE(store.stateRetained(ids.front()));
-    EXPECT_TRUE(store.stateRetained(ids.back()));
     store.sealLevel(); // boundary after "level A"
-    for (std::uint32_t id : ids)
-        EXPECT_TRUE(store.stateRetained(id));
-
+    const std::uint64_t mapped = store.mappedBytes();
     store.sealLevel(); // level A is now two boundaries old
-    // Whole byte blocks below the boundary are released; the
-    // partially filled tail block is shared with the newest level
-    // and stays.
-    EXPECT_FALSE(store.stateRetained(ids.front()));
-    EXPECT_TRUE(store.stateRetained(ids.back()));
+    EXPECT_LT(store.mappedBytes(), mapped);
 
-    // Deduplication still works without the state bytes.
+    // Deduplication works against the unmapped cells...
     auto [idx, is_new] = store.insert(arenaState(0), forged(0),
                                       StateStore::kNoParent, 0, 0);
     EXPECT_FALSE(is_new);
     EXPECT_EQ(idx, ids.front());
+    // ...and every cell still decodes, the oldest remapped on demand.
+    for (int i = 0; i < n; i += 997) {
+        SystemState decoded;
+        store.stateInto(ids[static_cast<std::size_t>(i)], decoded);
+        EXPECT_TRUE(decoded == arenaState(i)) << i;
+    }
+    SystemState last;
+    store.stateInto(ids.back(), last);
+    EXPECT_TRUE(last == arenaState(n - 1));
 }
 
 } // namespace

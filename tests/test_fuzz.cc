@@ -203,10 +203,9 @@ TEST(Oracle, PortfolioAgreesOnACorrectProgramScenario)
         << report.divergences.front();
     EXPECT_EQ(report.reference.verdict, "holds");
     EXPECT_TRUE(report.reference.exactCounts);
-    // Symmetry arms are skipped for program scenarios: 9 combos
-    // (the 8-way cross product plus the mmap arm) minus 4 sym arms,
-    // plus the reference.
-    EXPECT_EQ(report.runs.size(), 6u);
+    // Symmetry arms are skipped for program scenarios: the 8-way
+    // cross product minus 4 sym arms, plus the reference.
+    EXPECT_EQ(report.runs.size(), 5u);
 }
 
 TEST(Oracle, PortfolioAgreesOnAMutatedViolatingScenario)
@@ -226,7 +225,7 @@ TEST(Oracle, PortfolioAgreesOnAMutatedViolatingScenario)
     EXPECT_FALSE(report.diverged())
         << report.divergences.front();
     EXPECT_EQ(report.reference.verdict, "violation");
-    EXPECT_EQ(report.runs.size(), 10u);
+    EXPECT_EQ(report.runs.size(), 9u);
 }
 
 TEST(Oracle, ComparesOnlySymInvariantFactsAcrossSymmetryClasses)

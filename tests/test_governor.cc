@@ -26,6 +26,21 @@
 #include "support/json_parse.hh"
 #include "support/resource.hh"
 
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
+
+// Sanitizer runtimes reserve terabytes of shadow address space, which
+// no RLIMIT_AS cap can accommodate.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CXL_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CXL_TEST_SANITIZED 1
+#endif
+#endif
+
 namespace cxl
 {
 namespace
@@ -128,7 +143,7 @@ TEST(Governor, MemoryCeilingStopsTheRun)
 #if defined(__linux__)
 TEST(Governor, MemoryCeilingMetersAnonymousRssNotMappedFiles)
 {
-    // The ceiling meters anonymous RSS only, so an mmap-store run
+    // The ceiling meters anonymous RSS only, so an mmap-compact run
     // whose file-backed mappings dwarf the ceiling's headroom still
     // completes: the kernel can reclaim those pages by writeback,
     // and tripping on them would defeat the out-of-core mode's whole
@@ -138,7 +153,7 @@ TEST(Governor, MemoryCeilingMetersAnonymousRssNotMappedFiles)
     CheckSession session;
     EngineOptions engine;
     engine.threads = 4;
-    engine.store = StoreKind::Mmap;
+    engine.store = StoreKind::MmapCompact;
     engine.maxRssBytes =
         currentAnonRssBytes() + 256ull * 1024 * 1024;
     const CheckResult res = session.run(freeRunRequest(2, engine));
@@ -156,6 +171,53 @@ TEST(Governor, MemoryCeilingMetersAnonymousRssNotMappedFiles)
     const JsonValue det = parseJson(res.renderJson(true));
     EXPECT_EQ(det.getNum("mapped_file_bytes"), 0.0);
     EXPECT_EQ(det.getNum("store_file_bytes"), 0.0);
+}
+
+/**
+ * Death-test body: cap this process's address space a little above
+ * its current size, run the 860,925-state unreduced 3-device free run
+ * single-threaded on @p kind, and exit 0 iff it ended as a governed
+ * memory stop.  Neither store fits under the cap.
+ */
+[[noreturn]] void
+exploreUnderAddressSpaceCap(StoreKind kind)
+{
+    CheckSession session;
+    EngineOptions engine;
+    engine.threads = 1;
+    engine.store = kind;
+    const CheckRequest req = freeRunRequest(3, engine);
+    session.ruleSet(ProtocolConfig::correct(), 3); // build outside
+
+    long pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    const rlim_t cap = static_cast<rlim_t>(pages) *
+                           static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) +
+                       (24u << 20);
+    const rlimit lim{cap, cap};
+    if (pages <= 0 || ::setrlimit(RLIMIT_AS, &lim) != 0)
+        std::exit(3);
+    const CheckResult res = session.run(req);
+    std::exit(res.verdict == CheckResult::Verdict::Incomplete &&
+                      res.stopReason == StopReason::Memory
+                  ? 0
+                  : 1);
+}
+
+TEST(GovernorDeathTest, OutOfMemoryEndsIncompleteOnEveryKind)
+{
+    // Running out of memory — the heap (ram) or the mmap backend's
+    // mappings (mmap-compact) — is a governed memory stop, not an
+    // abort from an uncaught std::bad_alloc.
+#if defined(CXL_TEST_SANITIZED)
+    GTEST_SKIP() << "RLIMIT_AS caps cannot hold a sanitizer runtime";
+#else
+    for (StoreKind kind : {StoreKind::InRam, StoreKind::MmapCompact}) {
+        EXPECT_EXIT(exploreUnderAddressSpaceCap(kind),
+                    ::testing::ExitedWithCode(0), "")
+            << storeKindWord(kind);
+    }
+#endif
 }
 #endif // __linux__
 
@@ -341,8 +403,7 @@ TEST(Governor, StoreFullErrorNamesShardAndRemedies)
         // ... and every store kind a user could switch to.
         EXPECT_NE(what.find("--expect-states"), std::string::npos)
             << what;
-        EXPECT_NE(what.find(
-                      "--store=ram|ram-compact|mmap|mmap-compact"),
+        EXPECT_NE(what.find("--store=ram|mmap-compact"),
                   std::string::npos)
             << what;
         EXPECT_LT(e.shard(), StateStore::kNumShards);

@@ -460,7 +460,7 @@ TEST(PorSoundness, ComposesWithCompactionBitIdentically)
     EngineOptions eng;
     eng.threads = 4;
     eng.por = true;
-    eng.store = StoreKind::InRamCompact;
+    eng.store = StoreKind::MmapCompact;
     req.engine = eng;
     const CheckResult res = session.run(req);
     EXPECT_EQ(res.verdict, CheckResult::Verdict::Holds);

@@ -38,6 +38,16 @@ namespace
 
 // --------------------------------------------------- wire protocol
 
+/** A free-run check frame carrying `"store": word`. */
+std::string
+storeFrame(const std::string &word)
+{
+    return "{\"schema\": \"cxl-checkd/v1\", \"type\": \"check\", "
+           "\"id\": \"x\", \"scenario\": \"free-run\", "
+           "\"engine\": {\"store\": \"" +
+           word + "\"}}";
+}
+
 Request
 fullRequest()
 {
@@ -49,7 +59,7 @@ fullRequest()
     r.families = std::vector<std::string>{"swmr", "dir"};
     r.engine.threads = 3;
     r.engine.symmetry = SymmetryMode::Off;
-    r.engine.store = StoreKind::Mmap;
+    r.engine.store = StoreKind::MmapCompact;
     r.engine.compact = true;
     r.engine.por = true;
     r.engine.maxStates = 12345;
@@ -168,12 +178,14 @@ TEST(ServeProtocol, MalformedRequestsThrow)
                      std::runtime_error)
             << word;
     }
-    EXPECT_THROW(
-        requestFromJson("{\"schema\": \"cxl-checkd/v1\", "
-                        "\"type\": \"check\", \"id\": \"x\", "
-                        "\"scenario\": \"free-run\", "
-                        "\"engine\": {\"store\": \"floppy\"}}"),
-        std::runtime_error);
+    // "ram" and "mmap-compact" are the two store kinds.
+    for (const char *word : {"floppy", "ram-compact", "mmap"}) {
+        EXPECT_THROW(requestFromJson(storeFrame(word)),
+                     std::runtime_error)
+            << word;
+    }
+    for (const char *word : {"ram", "mmap-compact"})
+        EXPECT_NO_THROW(requestFromJson(storeFrame(word))) << word;
 }
 
 TEST(ServeProtocol, FramingSurvivesSplitsAndCoalescing)
@@ -434,36 +446,29 @@ TEST(ResolveRequest, DistinctSemanticsNeverAlias)
     EXPECT_NE(keyOf(cfg), base);
 }
 
-TEST(ResolveRequest, RamAndMmapStoreSpellingsCollapseToOneKey)
+TEST(ResolveRequest, StoreKindAndCompactKnobPickTheKey)
 {
-    // The backend is below the probe algorithm: verdicts, counts and
-    // the rendered JSON are backend-independent, so ram and mmap
-    // spellings of the same compactness must share one cache entry —
-    // a ram-warmed cache answers mmap requests.  The compact bit is
-    // semantics (detected-collision accounting, trace notes) and
-    // must fork the key.
+    // The store kind is semantics (detected-collision accounting)
+    // and must fork the key; the compact knob overrides the store
+    // word the same way --compact overrides --store.
     const std::string base = keyOf(namedRequest("free-run"));
 
     Request ram = namedRequest("free-run");
     ram.engine.store = StoreKind::InRam;
-    Request mmap = namedRequest("free-run");
-    mmap.engine.store = StoreKind::Mmap;
     EXPECT_EQ(keyOf(ram), base);
-    EXPECT_EQ(keyOf(mmap), base);
 
-    Request ram_c = namedRequest("free-run");
-    ram_c.engine.store = StoreKind::InRamCompact;
-    Request mmap_c = namedRequest("free-run");
-    mmap_c.engine.store = StoreKind::MmapCompact;
-    EXPECT_EQ(keyOf(ram_c), keyOf(mmap_c));
-    EXPECT_NE(keyOf(ram_c), base);
+    Request compact = namedRequest("free-run");
+    compact.engine.store = StoreKind::MmapCompact;
+    EXPECT_NE(keyOf(compact), base);
 
-    // The compact knob layers onto the chosen backend the same way
-    // --compact layers onto --store.
-    Request layered = namedRequest("free-run");
-    layered.engine.store = StoreKind::Mmap;
-    layered.engine.compact = true;
-    EXPECT_EQ(keyOf(layered), keyOf(ram_c));
+    Request knob = namedRequest("free-run");
+    knob.engine.compact = true;
+    EXPECT_EQ(keyOf(knob), keyOf(compact));
+
+    Request off = namedRequest("free-run");
+    off.engine.store = StoreKind::MmapCompact;
+    off.engine.compact = false;
+    EXPECT_EQ(keyOf(off), base);
 }
 
 TEST(ResolveRequest, WallClockBudgetsStayOutOfTheKey)
@@ -628,14 +633,15 @@ TEST_F(ServeEndToEnd, ConcurrentClientsMatchOfflineByteForByte)
         << after.renderJson();
 }
 
-TEST_F(ServeEndToEnd, MmapStoreServesOfflineBytesForEveryScenario)
+TEST_F(ServeEndToEnd, MmapCompactStoreServesOfflineBytesForEveryScenario)
 {
-    // Every registry scenario served under the mmap store must
-    // return the exact bytes an offline in-RAM run renders: the
-    // backend may not leak into the result, and the out-of-core
-    // path must not perturb a single count or verdict.
+    // Every registry scenario served under the mmap-compact store
+    // must return the exact bytes an offline mmap-compact run
+    // renders: the out-of-core path must not perturb a single count,
+    // verdict or trace.
     EngineOptions offline;
     offline.threads = 2;
+    offline.store = StoreKind::MmapCompact;
     CheckSession session(offline);
     for (const scenarios::Entry &entry : scenarios::all()) {
         const int devices = entry.deviceScalable
@@ -649,7 +655,7 @@ TEST_F(ServeEndToEnd, MmapStoreServesOfflineBytesForEveryScenario)
 
         Request r = deterministicRequest(entry.name);
         r.devices = devices;
-        r.engine.store = StoreKind::Mmap;
+        r.engine.store = StoreKind::MmapCompact;
         const ClientResult served =
             requestCheck(server_->socketPath(), r);
         ASSERT_TRUE(served.ok) << entry.name << ": " << served.error;
@@ -702,13 +708,27 @@ TEST_F(ServeEndToEnd, BadRequestsGetAnErrorFrame)
     EXPECT_EQ(parseJson(line).getStr("type"), "error");
     ::close(fd);
 
+    // Only ram and mmap-compact name a store kind on the wire.
+    for (const char *word : {"ram-compact", "mmap"}) {
+        const int sfd = connectUnixSocket(server_->socketPath());
+        ASSERT_GE(sfd, 0);
+        ASSERT_TRUE(sendFrame(sfd, storeFrame(word)));
+        FrameReader sreader;
+        ASSERT_TRUE(recvFrame(sfd, sreader, line)) << word;
+        const JsonValue frame = parseJson(line);
+        EXPECT_EQ(frame.getStr("type"), "error") << word;
+        EXPECT_NE(line.find("ram|mmap-compact"), std::string::npos)
+            << line;
+        ::close(sfd);
+    }
+
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(10);
-    while (server_->stats().errors < 2 &&
+    while (server_->stats().errors < 4 &&
            std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    EXPECT_EQ(server_->stats().errors, 2u);
+    EXPECT_EQ(server_->stats().errors, 4u);
 }
 
 TEST_F(ServeEndToEnd, HostileFramesGetErrorFramesAndServingContinues)

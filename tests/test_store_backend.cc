@@ -1,13 +1,15 @@
 /**
  * @file
  * Backend conformance suite for the layered visited-state store: the
- * four StoreKinds (ram, ram-compact, mmap, mmap-compact) must present
- * identical packed-id semantics through the StateStore façade —
- * insert/lookup/dedup, batched duplicates, seal/retention per kind's
- * contract, the StoreFullError capacity path (store-level and through
- * the explorer), forged probe-hash collision detection — and the
- * explorer must produce bit-identical state/transition counts on
- * every kind at 2-device and symmetry-reduced 3-device spaces.
+ * two store kinds (ram = full on the heap, mmap-compact = compact on
+ * file-backed mappings) must present identical packed-id semantics
+ * through the StateStore façade — insert/lookup/dedup, batched
+ * duplicates, reads and dedup across seals, the StoreFullError
+ * capacity path (store-level and through the explorer), forged
+ * probe-hash collision detection — the other two (mode, backend)
+ * pairings must be rejected, and the explorer must produce
+ * bit-identical state/transition counts on both kinds at 2-device and
+ * symmetry-reduced 3-device spaces.
  */
 
 #include <gtest/gtest.h>
@@ -39,8 +41,6 @@ struct Kind {
 
 const Kind kKinds[] = {
     {"ram", StoreMode::Full, StoreBackend::InRam},
-    {"ram-compact", StoreMode::Compact, StoreBackend::InRam},
-    {"mmap", StoreMode::Full, StoreBackend::Mmap},
     {"mmap-compact", StoreMode::Compact, StoreBackend::Mmap},
 };
 
@@ -154,11 +154,32 @@ TEST(StoreBackend, BatchDuplicateKeepsBreadcrumbsOnEveryKind)
     }
 }
 
-TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
+TEST(StoreBackend, UnsupportedPairingsAreRejected)
+{
+    // Full mode runs only on the heap and compact mode only on the
+    // file-backed backend.
+    const Kind unsupported[] = {
+        {"ram-compact", StoreMode::Compact, StoreBackend::InRam},
+        {"mmap", StoreMode::Full, StoreBackend::Mmap},
+    };
+    for (const Kind &k : unsupported)
+        EXPECT_THROW(StateStore{configOf(k)}, std::invalid_argument)
+            << k.name;
+    for (const Kind &k : kKinds)
+        EXPECT_NO_THROW(StateStore{configOf(k)}) << k.name;
+#if defined(__linux__)
+    // The convenience constructor picks the mode's backend.
+    EXPECT_EQ(StateStore(1 << 10, StoreMode::Full).mappedBytes(), 0u);
+    EXPECT_GT(StateStore(1 << 10, StoreMode::Compact).mappedBytes(),
+              0u);
+#endif
+}
+
+TEST(StoreBackend, SealedEntriesStayReadableOnEveryKind)
 {
     // Enough shard-0 entries that whole arena blocks fall below two
-    // seal boundaries: full blocks hold 2^12..2^13 entries, compact
-    // blocks 2^18 bytes of cells.
+    // seal boundaries: full blocks hold 2^13 entries (never
+    // released), compact blocks 2^18 bytes of cells.
     const int n = 40000;
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
@@ -172,24 +193,15 @@ TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
         store.sealLevel();
         store.sealLevel();
 
-        const bool readable = store.statesAlwaysReadable();
-        EXPECT_EQ(readable,
-                  k.mode == StoreMode::Full ||
-                      k.backend == StoreBackend::Mmap)
-            << k.name;
-        EXPECT_EQ(store.stateRetained(ids.front()), readable)
-            << k.name;
-        EXPECT_TRUE(store.stateRetained(ids.back())) << k.name;
-        if (readable) {
-            // Sealed entries stay decodable — recoverable backends
-            // remap the dropped block on demand.
-            SystemState decoded;
-            store.stateInto(ids.front(), decoded);
-            EXPECT_TRUE(decoded == probeState(0)) << k.name;
-        }
+        // Sealed entries stay decodable — the mmap backend remaps
+        // the dropped block on demand.
+        SystemState decoded;
+        store.stateInto(ids.front(), decoded);
+        EXPECT_TRUE(decoded == probeState(0)) << k.name;
+        store.stateInto(ids.back(), decoded);
+        EXPECT_TRUE(decoded == probeState(n - 1)) << k.name;
 
-        // Deduplication survives sealing on every kind (fingerprint
-        // identity where the bytes are cold).
+        // Deduplication survives sealing on every kind.
         auto [id, fresh] = store.insert(
             probeState(0), shardZeroHash(0), StateStore::kNoParent,
             0, 0);
@@ -218,7 +230,7 @@ TEST(StoreBackend, MmapKindsReportAndReleaseMappedBytes)
         const std::uint64_t mapped = store.mappedBytes();
         EXPECT_GT(mapped, 0u) << k.name;
         EXPECT_GT(store.backingFileBytes(), 0u) << k.name;
-        // Two seals drop every full block below the first boundary:
+        // Two seals drop every byte block below the first boundary:
         // the mapped window shrinks, the backing file does not.
         const std::uint64_t file_before = store.backingFileBytes();
         store.sealLevel();
@@ -234,7 +246,7 @@ TEST(StoreBackend, StoreDirBacksShardFiles)
     char *dir = mkdtemp(tmpl);
     ASSERT_NE(dir, nullptr);
     {
-        StateStore store(configOf(kKinds[2], 0, dir)); // mmap full
+        StateStore store(configOf(kKinds[1], 0, dir)); // mmap-compact
         for (int i = 0; i < 5000; ++i) {
             store.insert(probeState(i), StateStore::kNoParent, 0, 0);
         }
@@ -269,8 +281,7 @@ TEST(StoreBackend, CapacityThrowsStoreFullErrorOnEveryKind)
             EXPECT_NE(what.find("per-shard limit 1 entries"),
                       std::string::npos)
                 << k.name << ": " << what;
-            EXPECT_NE(what.find("--store=ram|ram-compact|mmap|"
-                                "mmap-compact"),
+            EXPECT_NE(what.find("--store=ram|mmap-compact"),
                       std::string::npos)
                 << k.name << ": " << what;
         }
@@ -294,9 +305,9 @@ TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
         EXPECT_TRUE(new_b) << k.name << ": silently merged";
         EXPECT_NE(ia, ib) << k.name;
         EXPECT_GE(store.probeCollisions(), 1u) << k.name;
-        // The collision survives a seal: cold-entry identity falls
-        // back to the verification fingerprint, which still tells
-        // the two states apart.
+        // The collision survives a seal: the verification
+        // fingerprint (compact) or the bytes (full) still tell the two
+        // states apart.
         store.sealLevel();
         store.sealLevel();
         auto [ia2, dup_a] =
@@ -453,7 +464,6 @@ runKind(const RuleSet &rules, const Scenario &sc,
         std::size_t threads)
 {
     opt.compaction = k.mode == StoreMode::Compact;
-    opt.storeBackend = k.backend;
     opt.numThreads = threads;
     Explorer ex(rules, sc, inv);
     return ex.run(opt);
